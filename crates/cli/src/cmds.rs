@@ -511,6 +511,11 @@ pub fn stats(argv: &[String]) -> i32 {
             trace.counter_total("tune_decision_per_element"),
             trace.counter_total("tune_decision_blocked"),
         );
+        println!(
+            "fused programs: compiled={} period-table entries={}",
+            trace.counter_total("fuse_programs"),
+            trace.counter_total("fuse_table_entries"),
+        );
         let cs = bcag_spmd::cache::stats();
         println!(
             "schedule cache: hits={} misses={} hit_rate={:.1}% entries={}/{} evictions={}",

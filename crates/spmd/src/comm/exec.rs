@@ -216,7 +216,7 @@ impl CommSchedule {
                     let tx = wire::wire_size::<T>(spans.len(), vals.len()) as u64;
                     bcag_trace::count("transport_bytes_tx", tx);
                     bcag_trace::record("msg_bytes", tx);
-                    bcag_trace::record(bcag_trace::intern(&format!("msg_bytes_to_{dst}")), tx);
+                    bcag_trace::record(wire::msg_bytes_key(dst), tx);
                 }
                 if use_wire {
                     ctx.send(dst, Box::new(wire::encode(&spans, &vals)));
@@ -426,10 +426,7 @@ impl CommSchedule {
             if bcag_trace::enabled() {
                 bcag_trace::count("transport_bytes_tx", bytes.len() as u64);
                 bcag_trace::record("msg_bytes", bytes.len() as u64);
-                bcag_trace::record(
-                    bcag_trace::intern(&format!("msg_bytes_to_{dst}")),
-                    bytes.len() as u64,
-                );
+                bcag_trace::record(wire::msg_bytes_key(dst), bytes.len() as u64);
             }
             session.send_data(dst, bytes);
         }

@@ -23,6 +23,8 @@
 //! byte counters charge it on every backend, serialized or not, so
 //! `transport_bytes_tx`/`_rx` totals are backend-independent.
 
+use std::sync::OnceLock;
+
 use super::schedule::{Transfer, TransferRun};
 
 /// On-the-wire run header of the batched executor's run-encoded messages:
@@ -341,6 +343,19 @@ const SPAN_BYTES: usize = 24;
 pub fn wire_size<T: PackValue>(nspans: usize, nvals: usize) -> usize {
     let elem = T::WIRE_BYTES.unwrap_or(std::mem::size_of::<T>());
     HEADER_BYTES + nspans * SPAN_BYTES + nvals * elem
+}
+
+/// The `msg_bytes_to_<dst>` histogram key — the per-destination message
+/// size distribution — interned once per destination for the life of the
+/// process, so recording a sample costs no formatting.
+pub(crate) fn msg_bytes_key(dst: usize) -> &'static str {
+    const CACHED: usize = 256;
+    static KEYS: [OnceLock<&'static str>; CACHED] = [const { OnceLock::new() }; CACHED];
+    let make = || bcag_trace::intern(&format!("msg_bytes_to_{dst}"));
+    match KEYS.get(dst) {
+        Some(key) => key.get_or_init(make),
+        None => make(),
+    }
 }
 
 /// Encodes a run-encoded message. The output length is exactly

@@ -1,74 +1,95 @@
-//! The plan compiler: fuse a whole statement's schedule + pack + compute
-//! into one specialized per-node epoch.
+//! The plan compiler: fuse a whole statement's schedule, pack and compute
+//! into one per-node epoch that runs the paper's periodic tables.
 //!
 //! The interpreted statement path ([`crate::statement::assign_expr`])
 //! pays per-statement orchestration every epoch: one full schedule
 //! execution — pool dispatch, whole-array staging clone, per-run shape
 //! dispatch — *per operand*, plus a final compute dispatch. The paper's
-//! point is that all of that structure is computable ahead of execution:
-//! the access sequence, the communication sets, and the contiguity
-//! classes are pure functions of `(p, k, section)` parameters, never of
-//! array contents.
+//! point is that all of that structure is computable ahead of execution,
+//! and that it is small: a node's access sequence is a start address plus
+//! a gap table whose period is at most `k`, repeated with a constant
+//! local-address advance.
 //!
 //! This module compiles a statement shape once into a [`FusedStatement`]:
-//! a per-node program whose every step — same-node move, gather, scatter,
-//! elementwise apply — is bound to a **gap-specialized kernel function
-//! pointer** selected from a macro-expanded shape table over
-//! [`ShapeClass`] ([`bcag_core::lower`]). The literal gap constant-folds
-//! through the [`PackValue`] primitives, so the executed epoch contains
-//! no per-run `match`, no per-statement schedule walk, and exactly **one
-//! pool dispatch** for the whole statement: each node applies
-//! self-transfers into arena-recycled staging snapshots, packs and sends
-//! its outgoing traffic, drains a counted inbox, then runs the
-//! owner-computes loop — pack→send→recv→unpack→apply as one fused
-//! function. Because the compiler sees every operand at once, it also
-//! **coalesces messages by destination**: all logical (operand, peer)
-//! messages of the statement merge into one physical message per peer
-//! per epoch — an optimization the interpreted path structurally cannot
-//! perform, since it exchanges operand by operand in separate epochs.
-//! Trace counters are still charged per logical message at canonical
-//! wire size, so deterministic totals keep parity.
+//! a per-node program whose every phase is a plain index loop over such a
+//! periodic table (a `Walk`: element `i` sits at
+//! `base + (i / L)·advance + offs[i % L]`).
+//!
+//! - **Transfer rows fold to their period.** For operand `B` against LHS
+//!   `A`, the owners of section rank `t` on both sides repeat every
+//!   `T = lcm(p·k_a / gcd(s_a, p·k_a), p·k_b / gcd(s_b, p·k_b))` ranks, so
+//!   every `(src, dst)` row of the [`CommSchedule`](crate::comm::CommSchedule) repeats every `L`
+//!   entries with the constant local-address advance `(T·s_b/p, T·s_a/p)`.
+//!   The compiler keeps the first `L` entries of each row, after checking
+//!   the repeat against the whole row. On shapes whose period is longer
+//!   than the section the row keeps itself whole, so nothing is lost.
+//! - **Staging by LHS ordinal.** The receiving side of every row is
+//!   stored as LHS *ordinals*: the position of the destination element in
+//!   the node's own access sequence, found by a binary search of the
+//!   node's one-period table. Each node stages its operands in one buffer
+//!   of `owned × operands` values (one ordinal block of them when
+//!   blocked, below), interleaved so that the apply loop reads an
+//!   element's argument list as one contiguous slice. The
+//!   schedule is a bijection between the sections, so every slot is
+//!   written exactly once per epoch: no snapshot of the LHS is taken.
+//! - **Apply walks the node's ΔM table** ([`NodePlan::delta_m`]) in access
+//!   order, reading the staging buffer sequentially.
+//!
+//! Gather, same-node move and scatter copy a whole period as one slice
+//! when its table is contiguous on both sides, and index through the
+//! table otherwise. The executed epoch is exactly **one pool dispatch**:
+//! each node gathers and sends its outgoing traffic, moves its same-node
+//! transfers, drains a counted inbox into its staging buffer, then runs
+//! the owner-computes loop. Because the compiler sees every operand at
+//! once it also **coalesces messages by destination**: all logical
+//! (operand, peer) messages of the statement merge into one physical
+//! message per peer per epoch — an optimization the interpreted path
+//! structurally cannot perform, since it exchanges operand by operand in
+//! separate epochs. Trace counters are still charged per logical message
+//! at canonical wire size, so deterministic totals keep parity.
 //!
 //! Programs are cached in the sharded plan cache ([`crate::cache::fused`])
 //! next to the schedules they were compiled from, so single-flight builds
 //! and LRU eviction cover them for free. The fused path is selected by
 //! [`default_fused`] (`BCAG_FUSE=on|off`, default on) and keeps **bit-exact
-//! parity** with the interpreted path: staging snapshots reproduce the
-//! interpreted `tmp = a.clone()` semantics node-locally, traversal order
-//! equals [`RunPlan::for_each_segment`] order, and every deterministic
-//! trace counter total (`elements_moved`, `messages_sent`,
-//! `transport_bytes_tx/_rx`, `runs_coalesced`, …) matches the interpreted
-//! path's by construction.
+//! parity** with the interpreted path: every LHS element is computed from
+//! the same argument values, and every deterministic trace counter total
+//! (`elements_moved`, `messages_sent`, `transport_bytes_tx/_rx`,
+//! `runs_coalesced`, …) matches the interpreted path's by construction.
 //!
 //! Under [`bcag_core::tune::TuneMode::Auto`] (the default) epochs whose
-//! working set spills L2 are **blocked**: [`epoch_block_elems`] derives
-//! an L2-resident chunk size, physical messages split into ≤-block-sized
-//! payloads at compile time (sender and receiver derive identical split
-//! points from the same schedule, so no wire metadata is added), and
-//! communication-free epochs stage → move → apply one L2-sized address
-//! range at a time instead of snapshotting the whole local image. The
-//! block size is part of the fused cache key, so `BCAG_TUNE` A/B flips
-//! never reuse programs compiled for the other regime.
+//! working set spills L2 are **blocked** by ranges of the receiving
+//! node's ordinals: [`epoch_block_elems`] derives an L2-resident block
+//! size, every peer sends one message per non-empty block of the
+//! receiver, cut at element indices of the same table walks (sender and
+//! receiver share the split points from compile time, so no wire
+//! metadata is added), and the receiver moves, scatters and applies one
+//! block at a time through a block-sized staging buffer. The block size
+//! is part of the fused cache key, so `BCAG_TUNE` A/B flips never reuse
+//! programs compiled for the other regime.
 //!
 //! Inside a `bcag spmd` node process the fused path is not used — the
 //! multi-process executor has its own shadow-application protocol — so
 //! [`crate::statement::assign_expr`] falls back to the interpreted path
 //! whenever a proc session is active.
 //!
-//! [`RunPlan::for_each_segment`]: bcag_core::runs::RunPlan::for_each_segment
+//! [`NodePlan::delta_m`]: crate::assign::NodePlan::delta_m
 
+use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bcag_core::error::{BcagError, Result};
-use bcag_core::lower::{lower_plan, ShapeClass};
 use bcag_core::method::Method;
+use bcag_core::numth::gcd;
 use bcag_core::section::RegularSection;
 use bcag_core::tune::{self, TuneMode};
 
+use crate::assign::NodePlan;
 use crate::cache;
 use crate::comm::wire::{self, PackValue};
-use crate::comm::ExecMode;
+use crate::comm::{ExecMode, Transfer};
 use crate::darray::DistArray;
 use crate::pack::{self, PackMode};
 use crate::pool::{self, lock_clean, LaunchMode};
@@ -129,7 +150,9 @@ pub fn set_default_fused(mode: FusedMode) {
 
 /// 0 = no fused epoch ran yet, 1 = last epoch was unblocked, 2 = last
 /// epoch ran L2-blocked — the flight recorder's companion to
-/// [`crate::pack::last_pack_mode`].
+/// [`crate::pack::last_pack_mode`]. Process-global, so under concurrent
+/// drivers it may report another statement's epoch; ask the program
+/// itself ([`FusedStatement::blocked`]) where that matters.
 static LAST_BLOCKED: AtomicU8 = AtomicU8::new(0);
 
 pub(crate) fn note_blocked(blocked: bool) {
@@ -167,274 +190,361 @@ pub fn epoch_block_elems<T: PackValue>(sec_a: &RegularSection) -> usize {
 /// pair may split into per epoch — half the shm fabric's per-pair SPSC
 /// ring capacity, so an epoch's entire blocked send phase fits in the
 /// ring and a send never has to wait for the peer (which is itself
-/// still sending) to drain it. [`compile`] widens a pair's block size
-/// past the L2 target rather than exceed this count.
+/// still sending) to drain it. [`compile`] widens a node's ordinal
+/// blocks past the L2 target rather than exceed this count.
 const MAX_BLOCKS_PER_PEER: usize = crate::transport::ring::RING_CAP / 2;
 
-/// Gather kernel: append `len` elements read from `src` at
-/// `(addr, addr + gap, …)` onto the message buffer. The gap is
-/// constant-folded for the specialized classes.
-type GatherFn<T> = fn(&mut Vec<T>, &[T], usize, usize, usize);
-
-/// Scatter kernel: write a packed value run into `dst` at
-/// `(addr, addr + gap, …)`.
-type ScatterFn<T> = fn(&mut [T], usize, usize, &[T]);
-
-/// Same-node move kernel: `(dst, src, daddr, dgap, saddr, sgap, len)`,
-/// both gaps constant-folded for the specialized class pairs.
-type MoveFn<T> = fn(&mut [T], &[T], usize, usize, usize, usize, usize);
-
-/// Elementwise apply kernel: `(local, stagings, args, f, addr, gap,
-/// len)` — the owner-computes loop body with the LHS gap
-/// constant-folded.
-type ApplyFn<T> = fn(&mut [T], &[Vec<T>], &mut Vec<T>, &dyn Fn(&[T]) -> T, usize, usize, usize);
-
-/// Selects the gather kernel for one source shape class: the macro
-/// expands one non-capturing closure per literal gap, so the
-/// [`PackValue::extend_run`] gap `match` folds away at monomorphization.
-fn gather_kernel<T: PackValue>(class: ShapeClass) -> GatherFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |out: &mut Vec<T>, src: &[T], addr: usize, _gap: usize, len: usize| {
-                T::extend_run(out, src, addr, $g, len)
-            }
-        };
+/// Calls `f(q, j0, j1)` once for every period `q` of a period-`period`
+/// table that the element-index range `[lo, hi)` touches, with the slice
+/// `j0..j1` of the table the range covers in that period.
+#[inline]
+fn for_each_period(period: usize, lo: usize, hi: usize, mut f: impl FnMut(usize, usize, usize)) {
+    if lo >= hi {
+        return;
     }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => |out: &mut Vec<T>, src: &[T], addr: usize, gap: usize, len: usize| {
-            T::extend_run(out, src, addr, gap, len)
-        },
+    let (mut q, mut j) = (lo / period, lo % period);
+    let mut left = hi - lo;
+    while left > 0 {
+        let end = period.min(j + left);
+        f(q, j, end);
+        left -= end - j;
+        q += 1;
+        j = 0;
     }
 }
 
-/// Selects the scatter kernel for one destination shape class (see
-/// [`gather_kernel`]).
-fn scatter_kernel<T: PackValue>(class: ShapeClass) -> ScatterFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |dst: &mut [T], addr: usize, _gap: usize, vals: &[T]| T::write_run(dst, addr, $g, vals)
-        };
-    }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => {
-            |dst: &mut [T], addr: usize, gap: usize, vals: &[T]| T::write_run(dst, addr, gap, vals)
+/// A periodic index stream — the paper's access-sequence form: element
+/// `i` sits at `base + (i / L)·advance + offs[i % L]`, with `L =
+/// offs.len()` and `offs[0] == 0`. Every gather, scatter, move and apply
+/// loop of a fused epoch walks one of these.
+struct Walk {
+    base: usize,
+    /// Address advance per period (unused when the stream never wraps).
+    advance: usize,
+    /// One period of offsets from the period's base, strictly increasing.
+    offs: Vec<u32>,
+    /// `offs[j] == j`: each period is one contiguous slice.
+    contiguous: bool,
+}
+
+/// Narrows a table offset; local images past `u32::MAX` elements are out
+/// of the fused path's range.
+fn offset(v: usize) -> Result<u32> {
+    u32::try_from(v)
+        .map_err(|_| BcagError::Precondition("fused epochs address at most 2^32 elements per node"))
+}
+
+impl Walk {
+    fn new(base: usize, advance: usize, offs: Vec<u32>) -> Walk {
+        let contiguous = offs.iter().enumerate().all(|(j, &o)| o as usize == j);
+        Walk {
+            base,
+            advance,
+            offs,
+            contiguous,
         }
     }
-}
 
-/// Selects the same-node move kernel for one `(source, destination)`
-/// shape class pair: a 4×4 grid of gap-literal kernels (the `(1, 1)`
-/// cell is a straight slice copy), with one runtime-gap fallback for
-/// pairs involving a wide stride.
-fn move_kernel<T: PackValue>(s: ShapeClass, d: ShapeClass) -> MoveFn<T> {
-    macro_rules! k {
-        ($sg:literal, $dg:literal) => {
-            |dst: &mut [T], src: &[T], da: usize, _dg: usize, sa: usize, _sg: usize, len: usize| {
-                for j in 0..len {
-                    dst[da + j * $dg] = src[sa + j * $sg].clone();
-                }
-            }
-        };
+    /// Address of element `i`.
+    fn at(&self, i: usize) -> usize {
+        let l = self.offs.len();
+        self.base + (i / l) * self.advance + self.offs[i % l] as usize
     }
-    use ShapeClass::*;
-    match (s, d) {
-        (Memcpy, Memcpy) => {
-            |dst: &mut [T], src: &[T], da: usize, _dg: usize, sa: usize, _sg: usize, len: usize| {
-                dst[da..da + len].clone_from_slice(&src[sa..sa + len])
-            }
-        }
-        (Memcpy, Stride2) => k!(1, 2),
-        (Memcpy, Stride3) => k!(1, 3),
-        (Memcpy, Stride4) => k!(1, 4),
-        (Stride2, Memcpy) => k!(2, 1),
-        (Stride2, Stride2) => k!(2, 2),
-        (Stride2, Stride3) => k!(2, 3),
-        (Stride2, Stride4) => k!(2, 4),
-        (Stride3, Memcpy) => k!(3, 1),
-        (Stride3, Stride2) => k!(3, 2),
-        (Stride3, Stride3) => k!(3, 3),
-        (Stride3, Stride4) => k!(3, 4),
-        (Stride4, Memcpy) => k!(4, 1),
-        (Stride4, Stride2) => k!(4, 2),
-        (Stride4, Stride3) => k!(4, 3),
-        (Stride4, Stride4) => k!(4, 4),
-        (Wide, _) | (_, Wide) => {
-            |dst: &mut [T], src: &[T], da: usize, dg: usize, sa: usize, sg: usize, len: usize| {
-                for j in 0..len {
-                    dst[da + j * dg] = src[sa + j * sg].clone();
-                }
-            }
-        }
-    }
-}
 
-/// Selects the owner-computes apply kernel for one LHS segment class:
-/// the traversal gap folds into the loop body, so the hot loop is a
-/// plain affine walk with no per-element address table.
-fn apply_kernel<T: PackValue>(class: ShapeClass) -> ApplyFn<T> {
-    macro_rules! k {
-        ($g:literal) => {
-            |local: &mut [T],
-             stagings: &[Vec<T>],
-             args: &mut Vec<T>,
-             f: &dyn Fn(&[T]) -> T,
-             addr: usize,
-             _gap: usize,
-             len: usize| {
-                for j in 0..len {
-                    let at = addr + j * $g;
-                    args.clear();
-                    for st in stagings {
-                        args.push(st[at].clone());
-                    }
-                    local[at] = f(args.as_slice());
-                }
-            }
-        };
+    /// Element index of `addr`, which the walk must visit: `O(log L)`
+    /// against the one-period table, never a whole-image map.
+    fn index_of(&self, addr: usize) -> usize {
+        let d = addr - self.base;
+        let q = d.checked_div(self.advance).unwrap_or(0);
+        let r = d - q * self.advance;
+        let j = u32::try_from(r)
+            .ok()
+            .and_then(|r| self.offs.binary_search(&r).ok())
+            .expect("address lies on the node's access sequence");
+        q * self.offs.len() + j
     }
-    match class {
-        ShapeClass::Memcpy => k!(1),
-        ShapeClass::Stride2 => k!(2),
-        ShapeClass::Stride3 => k!(3),
-        ShapeClass::Stride4 => k!(4),
-        ShapeClass::Wide => |local: &mut [T],
-                             stagings: &[Vec<T>],
-                             args: &mut Vec<T>,
-                             f: &dyn Fn(&[T]) -> T,
-                             addr: usize,
-                             gap: usize,
-                             len: usize| {
-            for j in 0..len {
-                let at = addr + j * gap;
-                args.clear();
-                for st in stagings {
-                    args.push(st[at].clone());
-                }
-                local[at] = f(args.as_slice());
+
+    /// Calls `f(base, offs)` once per period the element range `[lo, hi)`
+    /// touches: those elements sit at `base + offs[..]`.
+    #[inline]
+    fn periods(&self, lo: usize, hi: usize, mut f: impl FnMut(usize, &[u32])) {
+        for_each_period(self.offs.len(), lo, hi, |q, j0, j1| {
+            f(self.base + q * self.advance, &self.offs[j0..j1])
+        });
+    }
+
+    /// Appends elements `[lo, hi)` of the walk over `src` onto `out`.
+    fn gather<T: Clone>(&self, out: &mut Vec<T>, src: &[T], lo: usize, hi: usize) {
+        self.periods(lo, hi, |base, offs| {
+            if self.contiguous {
+                let at = base + offs[0] as usize;
+                out.extend_from_slice(&src[at..at + offs.len()]);
+            } else {
+                out.extend(offs.iter().map(|&o| src[base + o as usize].clone()));
             }
-        },
+        });
+    }
+
+    /// Writes `vals` to elements `[lo, hi)` of the walk over `dst`, whose
+    /// first element is address `origin`.
+    fn scatter<T: Clone>(&self, dst: &mut [T], vals: &[T], lo: usize, hi: usize, origin: usize) {
+        let mut vals = vals;
+        self.periods(lo, hi, |base, offs| {
+            let (now, rest) = vals.split_at(offs.len());
+            vals = rest;
+            if self.contiguous {
+                let at = base + offs[0] as usize - origin;
+                dst[at..at + now.len()].clone_from_slice(now);
+            } else {
+                for (&o, v) in offs.iter().zip(now) {
+                    dst[base + o as usize - origin] = v.clone();
+                }
+            }
+        });
     }
 }
 
-/// One same-node transfer run, kernel-bound at compile time.
-struct MoveStep<T> {
-    dst: usize,
-    dgap: usize,
-    src: usize,
-    sgap: usize,
-    len: usize,
-    kernel: MoveFn<T>,
+/// One transfer row folded to its period: the first `L` entries plus the
+/// per-period advance. `L` is the index of the transfer that repeats
+/// transfer 0 shifted by `step = (source, destination)` local advance,
+/// provided every later transfer repeats likewise; otherwise (no step,
+/// or a row shorter than a period) `L` is the row's length.
+fn row_period(row: &[Transfer], step: Option<(i64, i64)>) -> usize {
+    let n = row.len();
+    let (Some((ds, dd)), Some(first)) = (step, row.first()) else {
+        return n;
+    };
+    let target = first.src_local + ds;
+    let l = row.partition_point(|t| t.src_local < target);
+    let repeats = l < n
+        && row[l..]
+            .iter()
+            .zip(row)
+            .all(|(t, u)| t.src_local == u.src_local + ds && t.dst_local == u.dst_local + dd);
+    if repeats {
+        l
+    } else {
+        n
+    }
 }
 
-/// One gather segment of an outgoing message, reading from operand
-/// `op`'s local memory.
-struct GatherStep<T> {
+/// Ranks after which the owners of a stride-`s` section on a `(p, k)`
+/// layout repeat: `p·k / gcd(s, p·k)`.
+fn rank_period(p: i64, k: i64, s: i64) -> Option<i64> {
+    let pk = p.checked_mul(k)?;
+    Some(pk / gcd(s, pk))
+}
+
+/// The `(source, destination)` local-address advance after which every
+/// transfer row of `A(sec_a) = B(sec_b)` repeats: `(T·s_b/p, T·s_a/p)`
+/// for the joint rank period `T`. `None` on overflow (rows then keep
+/// themselves whole).
+fn joint_step(p: i64, k_a: i64, s_a: i64, k_b: i64, s_b: i64) -> Option<(i64, i64)> {
+    let (ta, tb) = (rank_period(p, k_a, s_a)?, rank_period(p, k_b, s_b)?);
+    let t = (ta / gcd(ta, tb)).checked_mul(tb)?;
+    Some((t.checked_mul(s_b)? / p, t.checked_mul(s_a)? / p))
+}
+
+/// The source side of a folded row: local addresses in the sender's
+/// operand memory.
+fn source_walk(row: &[Transfer], l: usize, ds: i64) -> Result<Walk> {
+    let base = row[0].src_local as usize;
+    let offs = row[..l]
+        .iter()
+        .map(|t| offset(t.src_local as usize - base))
+        .collect::<Result<Vec<u32>>>()?;
+    let advance = if l < row.len() { ds as usize } else { 0 };
+    Ok(Walk::new(base, advance, offs))
+}
+
+/// The destination side of a folded row: slots of operand `op` in the
+/// receiver's interleaved staging buffer (`ordinal × nops + op`), where
+/// the ordinal is the destination's position in `lhs`, the receiver's
+/// access sequence.
+fn staging_walk(
+    lhs: &Walk,
+    row: &[Transfer],
+    l: usize,
+    dd: i64,
+    nops: usize,
     op: usize,
-    addr: usize,
-    gap: usize,
-    len: usize,
-    kernel: GatherFn<T>,
+) -> Result<Walk> {
+    let ord0 = lhs.index_of(row[0].dst_local as usize);
+    let offs = row[..l]
+        .iter()
+        .map(|t| offset((lhs.index_of(t.dst_local as usize) - ord0) * nops))
+        .collect::<Result<Vec<u32>>>()?;
+    // A folded row advances by whole periods of the receiver's table
+    // (checked by the caller), so its ordinals advance by whole periods
+    // of ordinals.
+    let advance = if l < row.len() {
+        dd as usize / lhs.advance * lhs.offs.len() * nops
+    } else {
+        0
+    };
+    Ok(Walk::new(ord0 * nops + op, advance, offs))
 }
 
-/// One ≤-block-sized chunk of an outgoing physical message: the gather
-/// segments whose packed payload this chunk carries. Unblocked plans
-/// have exactly one block per peer.
-struct SendBlock<T> {
-    elements: usize,
-    gathers: Vec<GatherStep<T>>,
+/// A node's own access sequence as a walk, and its element count: the
+/// one-period offset table of the ΔM gaps, advancing by their sum. A
+/// sequence shorter than one period keeps only the offsets it visits.
+fn lhs_walk(plan: &NodePlan) -> Result<(Walk, usize)> {
+    let count = plan.runs.count();
+    let Some(start) = plan.runs.start() else {
+        return Ok((Walk::new(0, 0, Vec::new()), 0));
+    };
+    let period = plan.delta_m.len().max(1).min(count);
+    let mut offs = Vec::with_capacity(period);
+    let mut at = 0usize;
+    offs.push(0);
+    for &gap in &plan.delta_m[..period - 1] {
+        at += gap as usize;
+        offs.push(offset(at)?);
+    }
+    let advance = if count > period {
+        at + plan.delta_m[period - 1] as usize
+    } else {
+        0
+    };
+    Ok((Walk::new(start as usize, advance, offs), count))
 }
 
-/// The outgoing traffic from this node to `dst`: every operand's
-/// transfers, packed back to back in operand order, split into
-/// L2-blocked physical messages. The interpreted path exchanges operand
-/// by operand in separate epochs; the fused compiler sees the whole
-/// statement, so it merges them — one message (per block) per peer per
-/// epoch. `charges` keeps one canonical wire size per *logical*
-/// (operand, destination) message so trace totals still match the
-/// interpreted path; they are emitted once per peer, on the first block.
-struct SendPlan<T> {
-    dst: usize,
-    charges: Vec<u64>,
-    blocks: Vec<SendBlock<T>>,
+/// Element indices at which the receiver's ordinal blocks of `block`
+/// elements split a row whose staging walk is `to`: block `b` holds the
+/// row's elements `splits[b]..splits[b + 1]`. Rows run in rank order,
+/// and so in ordinal order, so each split is one binary search.
+fn block_splits(to: &Walk, count: usize, block: usize, nops: usize, blocks: usize) -> Vec<usize> {
+    let mut splits = Vec::with_capacity(blocks + 1);
+    splits.push(0);
+    for b in 1..blocks {
+        // The first element whose slot lies in block `b` or later.
+        let first_slot = b * block * nops;
+        let (mut lo, mut hi) = (*splits.last().expect("starts at 0"), count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if to.at(mid) < first_slot {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        splits.push(lo);
+    }
+    splits.push(count);
+    splits
 }
 
-/// One scatter segment of an inbound message: where the next `len`
-/// packed values (at `off` in the payload) land in operand `op`'s
-/// staging buffer.
-struct ScatterStep<T> {
+/// One operand's share of a peer stream: a walk over operand `op`'s
+/// local memory on the sender, over the staging buffer on the receiver,
+/// split at the receiver's ordinal blocks: block `b` carries elements
+/// `splits[b]..splits[b + 1]`, and the last split is the element count.
+struct Part {
     op: usize,
-    addr: usize,
-    gap: usize,
-    len: usize,
-    off: usize,
-    kernel: ScatterFn<T>,
+    walk: Walk,
+    splits: Vec<usize>,
 }
 
-/// The expected inbound traffic from `src` — the schedule is global
-/// knowledge, so the payload layout (operand order, then compiled run
-/// order, split at the same block boundaries the sender derives) and
-/// per-logical-message `charges` are compiled here and the wire carries
-/// only values. `blocks[i]` scatters the `i`-th physical message from
-/// `src`; each step's `off` is relative to that block's payload.
-/// Per-producer FIFO on every in-process transport (one mpsc channel,
-/// one SPSC ring per directed pair) keeps block order deterministic.
-struct RecvPlan<T> {
-    src: usize,
+impl Part {
+    fn range(&self, b: usize) -> (usize, usize) {
+        (self.splits[b], self.splits[b + 1])
+    }
+}
+
+/// Everything one node exchanges with one peer per epoch: every
+/// operand's part back to back in operand order, one physical message
+/// per non-empty ordinal block of the receiver. The interpreted path
+/// exchanges operand by operand in separate epochs; the fused compiler
+/// sees the whole statement, so it merges them. Sender and receiver
+/// share the split points, so the wire carries only values. `charges`
+/// keeps one canonical wire size per *logical* (operand, peer) message
+/// so trace totals still match the interpreted path.
+struct PeerStream {
+    peer: usize,
     charges: Vec<u64>,
-    blocks: Vec<Vec<ScatterStep<T>>>,
+    parts: Vec<Part>,
 }
 
-/// One LHS traversal segment of the owner-computes loop.
-struct ApplyStep<T> {
-    addr: usize,
-    gap: usize,
-    len: usize,
-    kernel: ApplyFn<T>,
+impl PeerStream {
+    /// Ordinal blocks of the receiver (messages, counting empty ones).
+    fn blocks(&self) -> usize {
+        self.parts.first().map_or(0, |p| p.splits.len() - 1)
+    }
+
+    /// Elements the message of block `b` carries.
+    fn block_len(&self, b: usize) -> usize {
+        self.parts
+            .iter()
+            .map(|p| p.splits[b + 1] - p.splits[b])
+            .sum()
+    }
+
+    /// Physical messages per epoch (non-empty blocks).
+    fn messages(&self) -> usize {
+        (0..self.blocks())
+            .filter(|&b| self.block_len(b) > 0)
+            .count()
+    }
+
+    /// Operand `op`'s part, if it has traffic on this stream.
+    fn part(&self, op: usize) -> Option<&Part> {
+        self.parts.iter().find(|p| p.op == op)
+    }
 }
 
-/// One L2-sized address range `[lo, hi)` of a blocked
-/// communication-free epoch: the same-node moves (per operand) and
-/// apply segments clipped to the range, with staging-side addresses
-/// rebased by `-lo`. The epoch stages, moves and applies one range at a
-/// time, so the working set per range is `(operands + 1) × (hi - lo)`
-/// elements instead of the whole local image. Bit-exact because ranges
-/// partition the address space: each range's snapshot still reads
-/// pre-statement values (earlier ranges wrote disjoint addresses), and
-/// every apply address reads staging within its own range.
-struct LocalBlock<T> {
-    lo: usize,
-    hi: usize,
-    moves: Vec<Vec<MoveStep<T>>>,
-    apply: Vec<ApplyStep<T>>,
+/// Outgoing traffic to one peer, with its interned message-size key.
+struct SendPlan {
+    key: &'static str,
+    stream: PeerStream,
 }
 
-/// The compiled epoch of one node: every data-movement and compute step
-/// of the whole statement, kernel-bound, plus the precomputed trace
-/// counter totals the epoch charges (identical to the interpreted
-/// path's per-operand emissions, summed).
-struct NodeProgram<T> {
-    /// Same-node transfer runs, per operand.
-    self_moves: Vec<Vec<MoveStep<T>>>,
-    /// Outgoing physical messages, one per destination with traffic.
-    sends: Vec<SendPlan<T>>,
-    /// Expected inbound physical messages, one per source with traffic.
-    recvs: Vec<RecvPlan<T>>,
-    /// Owner-computes traversal segments.
-    apply: Vec<ApplyStep<T>>,
-    /// L2-blocked ranges for communication-free epochs (empty when the
-    /// node communicates or the program is unblocked); when non-empty,
-    /// `execute` runs these instead of `self_moves` + `apply`, which are
-    /// still compiled so [`FusedStatement::census`] stays
-    /// blocking-independent.
-    local_blocks: Vec<LocalBlock<T>>,
+/// One operand's same-node transfers: source addresses in the operand's
+/// local memory, destinations in the staging buffer, both folded to the
+/// same period and split at the node's ordinal blocks.
+struct Move {
+    op: usize,
+    src: Walk,
+    dst: Part,
+}
+
+impl Move {
+    /// Copies transfers `[lo, hi)` into the staging buffer, whose first
+    /// element is slot `origin`.
+    fn run<T: Clone>(&self, staging: &mut [T], src: &[T], lo: usize, hi: usize, origin: usize) {
+        let (s, d) = (&self.src, &self.dst.walk);
+        for_each_period(s.offs.len(), lo, hi, |q, j0, j1| {
+            let (sb, db) = (s.base + q * s.advance, d.base + q * d.advance);
+            let (so, dof) = (&s.offs[j0..j1], &d.offs[j0..j1]);
+            if s.contiguous && d.contiguous {
+                let (sa, da) = (sb + so[0] as usize, db + dof[0] as usize - origin);
+                staging[da..da + so.len()].clone_from_slice(&src[sa..sa + so.len()]);
+            } else {
+                for (&o, &t) in so.iter().zip(dof) {
+                    staging[db + t as usize - origin] = src[sb + o as usize].clone();
+                }
+            }
+        });
+    }
+}
+
+/// The compiled epoch of one node, plus the precomputed trace counter
+/// totals the epoch charges (identical to the interpreted path's
+/// per-operand emissions, summed).
+struct NodeProgram {
+    /// The node's LHS access sequence; staging slot `i × nops + op` holds
+    /// operand `op`'s value for its element `i`.
+    lhs: Walk,
+    /// LHS elements this node owns in the section.
+    count: usize,
+    /// Ordinals per block: moves, inbound messages and apply run one
+    /// block of the node's ordinals at a time (one block when
+    /// unblocked), so the staging buffer holds one block.
+    block: usize,
+    /// Same-node transfers, one per operand that has any.
+    moves: Vec<Move>,
+    /// Outgoing streams, one per destination with traffic.
+    sends: Vec<SendPlan>,
+    /// Expected inbound streams, one per source with traffic.
+    recvs: Vec<PeerStream>,
     /// Total outgoing transfers (all destinations, self included).
     moved: u64,
     /// Non-empty non-self destinations (messages really sent).
@@ -447,8 +557,28 @@ struct NodeProgram<T> {
     seg_elems: u64,
 }
 
+impl NodeProgram {
+    /// Ordinal blocks of the epoch.
+    fn blocks(&self) -> usize {
+        self.count.div_ceil(self.block)
+    }
+
+    /// Period-table entries across every walk of the program.
+    fn table_entries(&self) -> usize {
+        let parts = |s: &PeerStream| s.parts.iter().map(|p| p.walk.offs.len()).sum::<usize>();
+        self.lhs.offs.len()
+            + self
+                .moves
+                .iter()
+                .map(|m| m.src.offs.len() + m.dst.walk.offs.len())
+                .sum::<usize>()
+            + self.sends.iter().map(|s| parts(&s.stream)).sum::<usize>()
+            + self.recvs.iter().map(parts).sum::<usize>()
+    }
+}
+
 /// In-memory fused message: the receiver routes by source node — the
-/// payload layout is already compiled into its [`RecvPlan`].
+/// payload layout is already compiled into its [`PeerStream`].
 struct FusedMsg<T> {
     src: u32,
     vals: Vec<T>,
@@ -458,16 +588,51 @@ struct FusedMsg<T> {
 /// messages.
 const WIRE_TAG_BYTES: usize = 4;
 
+/// Receives the next inbound fused message: its source node and values.
+/// Waiting time is added to `wait_ns` and recorded when tracing.
+fn recv_msg<T: PackValue>(
+    ctx: &mut pool::NodeCtx,
+    use_wire: bool,
+    wait_ns: &mut u64,
+) -> (usize, Vec<T>) {
+    let t0 = bcag_trace::enabled().then(std::time::Instant::now);
+    let env = ctx.recv();
+    if let Some(t0) = t0 {
+        let ns = t0.elapsed().as_nanos() as u64;
+        *wait_ns += ns;
+        bcag_trace::record("recv_wait_ns", ns);
+    }
+    if use_wire {
+        let mut bytes = *env
+            .downcast::<Vec<u8>>()
+            .expect("fused wire message payload type");
+        let tag_at = bytes.len() - WIRE_TAG_BYTES;
+        let src = u32::from_le_bytes(bytes[tag_at..].try_into().expect("4 bytes")) as usize;
+        bytes.truncate(tag_at);
+        let mut spans: Vec<wire::RunSpan> = ctx.take_buf();
+        let mut vals: Vec<T> = ctx.take_buf();
+        wire::decode_into(&bytes, &mut spans, &mut vals);
+        ctx.put_buf(spans);
+        (src, vals)
+    } else {
+        let msg = *env
+            .downcast::<FusedMsg<T>>()
+            .expect("fused message payload type");
+        (msg.src as usize, msg.vals)
+    }
+}
+
 /// A whole statement `A(sec_a) = f(B₀(sec₀), …)` compiled to per-node
 /// epochs: built once per statement shape by [`compile`], cached in the
 /// sharded plan cache, executed many times by [`FusedStatement::execute`].
 pub struct FusedStatement<T: PackValue> {
     p: i64,
-    nodes: Vec<NodeProgram<T>>,
-    /// Whether any node's epoch is L2-blocked (chunked messages or
-    /// blocked local ranges) — drives the `tune_decision_blocked`
-    /// counter and the flight recorder's blocked flag.
+    nops: usize,
+    nodes: Vec<NodeProgram>,
+    /// Whether any node's epoch is L2-blocked (more than one ordinal
+    /// block).
     blocked: bool,
+    _elem: PhantomData<fn() -> T>,
 }
 
 /// Structural summary of a compiled [`FusedStatement`] — totals over all
@@ -478,33 +643,86 @@ pub struct FuseCensus {
     pub sends: usize,
     /// Inbound message plans compiled across all nodes.
     pub recvs: usize,
-    /// Same-node transfer runs compiled across all nodes and operands.
+    /// Same-node transfer streams (one per node and operand with any).
     pub self_moves: usize,
-    /// Owner-computes traversal segments across all nodes.
-    pub apply_segments: usize,
-    /// Physical message blocks compiled across all nodes — equals the
-    /// physical message count when unblocked, larger when L2-chunked.
+    /// Nodes with an owner-computes walk (nodes owning LHS elements).
+    pub applies: usize,
+    /// Physical messages per epoch across all nodes — one per peer when
+    /// unblocked, more when L2-blocked.
     pub send_blocks: usize,
-    /// L2-blocked local epoch ranges compiled across all nodes.
-    pub local_blocks: usize,
+    /// Ordinal blocks across all nodes — equals `applies` when
+    /// unblocked, larger when L2-blocked.
+    pub apply_blocks: usize,
+    /// Period-table entries across every walk of every node — the
+    /// program's size, `O(period)` rather than `O(section)` once the
+    /// section spans more than a period.
+    pub table_entries: usize,
 }
 
 impl<T: PackValue> FusedStatement<T> {
     /// Structural totals of the compiled program. `sends`/`recvs` count
     /// *logical* (operand, peer) messages — the interpreted path's unit —
     /// even though the fused epoch coalesces them into one physical
-    /// message per peer.
+    /// message per peer and block.
     pub fn census(&self) -> FuseCensus {
         let mut c = FuseCensus::default();
         for n in &self.nodes {
-            c.sends += n.sends.iter().map(|s| s.charges.len()).sum::<usize>();
+            c.sends += n
+                .sends
+                .iter()
+                .map(|s| s.stream.charges.len())
+                .sum::<usize>();
             c.recvs += n.recvs.iter().map(|r| r.charges.len()).sum::<usize>();
-            c.self_moves += n.self_moves.iter().map(Vec::len).sum::<usize>();
-            c.apply_segments += n.apply.len();
-            c.send_blocks += n.sends.iter().map(|s| s.blocks.len()).sum::<usize>();
-            c.local_blocks += n.local_blocks.len();
+            c.self_moves += n.moves.len();
+            c.applies += usize::from(n.count > 0);
+            c.send_blocks += n.sends.iter().map(|s| s.stream.messages()).sum::<usize>();
+            c.apply_blocks += n.blocks();
+            c.table_entries += n.table_entries();
         }
         c
+    }
+
+    /// Whether this program's epochs run L2-blocked — a property of the
+    /// compiled program, so it stays right under concurrent drivers.
+    pub fn blocked(&self) -> bool {
+        self.blocked
+    }
+
+    /// The `src → dst` transfer row of operand `op` as the compiled
+    /// tables expand it: source addresses from the sender's gather (or
+    /// move) table, destination addresses from the receiver's ordinal
+    /// table mapped back through its access sequence. It equals
+    /// [`CommSchedule::transfers`] of the schedule the program was
+    /// compiled from — the check that folding rows to their period lost
+    /// nothing.
+    ///
+    /// [`CommSchedule::transfers`]: crate::comm::CommSchedule::transfers
+    pub fn transfers(&self, op: usize, src: usize, dst: usize) -> Vec<Transfer> {
+        let (sender, receiver) = (&self.nodes[src], &self.nodes[dst]);
+        let (from, to) = if src == dst {
+            match sender.moves.iter().find(|m| m.op == op) {
+                Some(m) => (&m.src, &m.dst),
+                None => return Vec::new(),
+            }
+        } else {
+            let out = sender
+                .sends
+                .iter()
+                .map(|s| &s.stream)
+                .find(|s| s.peer == dst);
+            let inn = receiver.recvs.iter().find(|s| s.peer == src);
+            match (out.and_then(|s| s.part(op)), inn.and_then(|s| s.part(op))) {
+                (Some(from), Some(to)) => (&from.walk, to),
+                _ => return Vec::new(),
+            }
+        };
+        let count = *to.splits.last().expect("splits end at the count");
+        (0..count)
+            .map(|i| Transfer {
+                src_local: from.at(i) as i64,
+                dst_local: receiver.lhs.at((to.walk.at(i) - op) / self.nops) as i64,
+            })
+            .collect()
     }
 
     /// Runs the fused epoch: one pool dispatch executes pack → send →
@@ -522,6 +740,7 @@ impl<T: PackValue> FusedStatement<T> {
         F: Fn(&[T]) -> T + Sync,
     {
         assert_eq!(a.p(), self.p, "LHS machine size mismatch");
+        assert_eq!(operands.len(), self.nops, "operand count mismatch");
         let _sp = bcag_trace::span("fuse.execute");
         let _t = bcag_trace::timed_span("fuse_execute_ns");
         bcag_trace::set_tag("transport", kind.name());
@@ -533,7 +752,7 @@ impl<T: PackValue> FusedStatement<T> {
         if self.blocked && bcag_trace::enabled() {
             bcag_trace::count("tune_decision_blocked", 1);
         }
-        let nops = operands.len();
+        let nops = self.nops;
         let slots: Vec<Mutex<&mut Vec<T>>> = a.locals_mut().iter_mut().map(Mutex::new).collect();
         pool::launch_with(self.p, launch, kind, |me, ctx| {
             let _sp = bcag_trace::span("fuse.epoch.node");
@@ -541,92 +760,58 @@ impl<T: PackValue> FusedStatement<T> {
             let use_wire = ctx.serializes() && T::WIRE_BYTES.is_some();
             let mut slot = lock_clean(&slots[me]);
             let local_a: &mut Vec<T> = &mut slot;
-            // Blocked communication-free epoch: stage → move → apply one
-            // L2-sized address range at a time. The folded counter
-            // emissions are identical to the unblocked epoch's.
-            if !prog.local_blocks.is_empty() {
-                bcag_trace::count("elements_moved", prog.moved);
-                bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
-                bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
-                bcag_trace::count("recv_wait_ns", 0);
-                let fref: &dyn Fn(&[T]) -> T = &f;
-                let mut args: Vec<T> = Vec::with_capacity(nops);
-                for blk in &prog.local_blocks {
-                    let mut stagings: Vec<Vec<T>> = Vec::with_capacity(nops);
-                    for (op, b) in operands.iter().enumerate() {
-                        let local_b = b.local(me as i64);
-                        let mut st: Vec<T> = ctx.take_buf();
-                        st.extend_from_slice(&local_a[blk.lo..blk.hi]);
-                        for mv in &blk.moves[op] {
-                            (mv.kernel)(&mut st, local_b, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
-                        }
-                        stagings.push(st);
-                    }
-                    let window = &mut local_a[blk.lo..blk.hi];
-                    for step in &blk.apply {
-                        (step.kernel)(
-                            window, &stagings, &mut args, fref, step.addr, step.gap, step.len,
-                        );
-                    }
-                    for st in stagings {
-                        ctx.put_buf(st);
+            let local = |op: usize| operands[op].local(me as i64);
+            // Counter totals were folded at compile time: one emission
+            // per epoch instead of one per (operand, destination), with
+            // identical totals. Transport bytes are charged per
+            // *logical* (operand, peer) message at the canonical
+            // run-encoded size (span headers included even though fused
+            // messages carry no spans), so counts and totals match the
+            // interpreted path on every backend.
+            bcag_trace::count("elements_moved", prog.moved);
+            bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
+            if prog.msgs > 0 {
+                bcag_trace::count("messages_sent", prog.msgs);
+                bcag_trace::count("elements_nonlocal", prog.nonlocal);
+            }
+            bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
+            if bcag_trace::enabled() {
+                for send in &prog.sends {
+                    for &tx in &send.stream.charges {
+                        bcag_trace::count("transport_bytes_tx", tx);
+                        bcag_trace::record("msg_bytes", tx);
+                        bcag_trace::record(send.key, tx);
                     }
                 }
-                return;
-            }
-            // Stage phase. Each operand's staging buffer is a snapshot
-            // of this node's pre-statement LHS memory (the node-local
-            // equivalent of the interpreted path's whole-array
-            // `tmp = a.clone()`), then self-transfers land in it directly
-            // and inbound messages scatter into it below. `local_a` is
-            // not written until the apply phase, so every snapshot is
-            // taken from clean pre-statement state.
-            let mut stagings: Vec<Vec<T>> = Vec::with_capacity(nops);
-            for (op, b) in operands.iter().enumerate() {
-                let local_b = b.local(me as i64);
-                let mut st: Vec<T> = ctx.take_buf();
-                st.extend_from_slice(local_a);
-                for mv in &prog.self_moves[op] {
-                    (mv.kernel)(&mut st, local_b, mv.dst, mv.dgap, mv.src, mv.sgap, mv.len);
+                for &rx in prog.recvs.iter().flat_map(|r| &r.charges) {
+                    bcag_trace::count("transport_bytes_rx", rx);
                 }
-                stagings.push(st);
             }
-            // Send phase: one physical message per destination per
-            // block, every operand's traffic packed back to back in
-            // operand order (the receiver's plan was compiled to the
-            // same layout and the same block boundaries).
-            for send in &prog.sends {
-                for (bi, blk) in send.blocks.iter().enumerate() {
+            // Send phase: one physical message per peer per non-empty
+            // ordinal block of that peer, every operand's traffic packed
+            // back to back in operand order, block by block across peers
+            // so every receiver can start on its first block early.
+            let rounds = prog.sends.iter().map(|s| s.stream.blocks()).max();
+            for b in 0..rounds.unwrap_or(0) {
+                for send in &prog.sends {
+                    let stream = &send.stream;
+                    if b >= stream.blocks() || stream.block_len(b) == 0 {
+                        continue;
+                    }
                     let mut vals: Vec<T> = ctx.take_buf();
-                    vals.reserve(blk.elements);
-                    for g in &blk.gathers {
-                        let local_b = operands[g.op].local(me as i64);
-                        (g.kernel)(&mut vals, local_b, g.addr, g.gap, g.len);
-                    }
-                    if bi == 0 && bcag_trace::enabled() {
-                        // Charged per *logical* (operand, destination)
-                        // message at the canonical run-encoded size (span
-                        // headers included even though fused messages
-                        // carry no spans), once per peer on the first
-                        // block, so counts and totals match the
-                        // interpreted path on every backend.
-                        for &tx in &send.charges {
-                            bcag_trace::count("transport_bytes_tx", tx);
-                            bcag_trace::record("msg_bytes", tx);
-                            bcag_trace::record(
-                                bcag_trace::intern(&format!("msg_bytes_to_{}", send.dst)),
-                                tx,
-                            );
-                        }
+                    vals.reserve(stream.block_len(b));
+                    for part in &stream.parts {
+                        let (lo, hi) = part.range(b);
+                        part.walk.gather(&mut vals, local(part.op), lo, hi);
                     }
                     if use_wire {
                         let mut bytes = wire::encode::<T>(&[], &vals);
                         bytes.extend_from_slice(&(me as u32).to_le_bytes());
-                        ctx.send(send.dst, Box::new(bytes));
+                        ctx.send(stream.peer, Box::new(bytes));
                         ctx.put_buf(vals);
                     } else {
                         ctx.send(
-                            send.dst,
+                            stream.peer,
                             Box::new(FusedMsg {
                                 src: me as u32,
                                 vals,
@@ -635,246 +820,70 @@ impl<T: PackValue> FusedStatement<T> {
                     }
                 }
             }
-            // Counter totals were folded at compile time: one emission
-            // per epoch instead of one per (operand, destination), with
-            // identical totals.
-            bcag_trace::count("elements_moved", prog.moved);
-            bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
-            if prog.msgs > 0 {
-                bcag_trace::count("messages_sent", prog.msgs);
-                bcag_trace::count("elements_nonlocal", prog.nonlocal);
+            // Block phase, one ordinal block at a time: same-node moves
+            // and inbound messages fill the block's staging slots — each
+            // exactly once — then the owner-computes loop walks the
+            // node's access sequence over the block, reading each
+            // element's arguments as one slice of the staging buffer.
+            // Messages arrive in block order per source (per-producer
+            // FIFO) but interleaved across sources; a message for a later
+            // block waits in its source's queue.
+            let mut staging: Vec<T> = ctx.take_buf();
+            if nops > 0 && prog.count > 0 {
+                let slots = prog.block.min(prog.count) * nops;
+                staging.resize(slots, local_a[prog.lhs.base].clone());
             }
-            bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
-            // Receive phase: the counted inbox drain of the batched
-            // executor, routed by the source tag since inbound order
-            // across sources is nondeterministic. Blocks from one source
-            // arrive in send order (per-producer FIFO), so a per-source
-            // cursor selects the scatter plan for each inbound message.
+            let mut pending: Vec<VecDeque<Vec<T>>> =
+                prog.recvs.iter().map(|_| VecDeque::new()).collect();
             let mut wait_ns = 0u64;
-            let mut next_blk = vec![0usize; prog.recvs.len()];
-            let total_blocks: usize = prog.recvs.iter().map(|r| r.blocks.len()).sum();
-            for _ in 0..total_blocks {
-                let t0 = bcag_trace::enabled().then(std::time::Instant::now);
-                let env = ctx.recv();
-                if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    wait_ns += ns;
-                    bcag_trace::record("recv_wait_ns", ns);
+            for b in 0..prog.blocks() {
+                let lo = b * prog.block;
+                let hi = prog.count.min(lo + prog.block);
+                let origin = lo * nops;
+                for mv in &prog.moves {
+                    let (from, to) = mv.dst.range(b);
+                    mv.run(&mut staging, local(mv.op), from, to, origin);
                 }
-                let (src, vals) = if use_wire {
-                    let mut bytes = *env
-                        .downcast::<Vec<u8>>()
-                        .expect("fused wire message payload type");
-                    let tag_at = bytes.len() - WIRE_TAG_BYTES;
-                    let src =
-                        u32::from_le_bytes(bytes[tag_at..].try_into().expect("4 bytes")) as usize;
-                    bytes.truncate(tag_at);
-                    let mut spans: Vec<wire::RunSpan> = ctx.take_buf();
-                    let mut vals: Vec<T> = ctx.take_buf();
-                    wire::decode_into(&bytes, &mut spans, &mut vals);
-                    ctx.put_buf(spans);
-                    (src, vals)
-                } else {
-                    let msg = *env
-                        .downcast::<FusedMsg<T>>()
-                        .expect("fused message payload type");
-                    (msg.src as usize, msg.vals)
-                };
-                let pi = prog
-                    .recvs
-                    .iter()
-                    .position(|r| r.src == src)
-                    .expect("inbound message matches a compiled recv plan");
-                let plan = &prog.recvs[pi];
-                let bi = next_blk[pi];
-                next_blk[pi] += 1;
-                if bi == 0 {
-                    for &rx in &plan.charges {
-                        bcag_trace::count("transport_bytes_rx", rx);
+                for (ri, stream) in prog.recvs.iter().enumerate() {
+                    if stream.block_len(b) == 0 {
+                        continue;
                     }
+                    let vals = match pending[ri].pop_front() {
+                        Some(vals) => vals,
+                        None => loop {
+                            let (src, vals) = recv_msg::<T>(ctx, use_wire, &mut wait_ns);
+                            let at = prog
+                                .recvs
+                                .iter()
+                                .position(|r| r.peer == src)
+                                .expect("inbound message matches a compiled recv plan");
+                            if at == ri {
+                                break vals;
+                            }
+                            pending[at].push_back(vals);
+                        },
+                    };
+                    let mut off = 0usize;
+                    for part in &stream.parts {
+                        let (from, to) = part.range(b);
+                        let now = &vals[off..off + to - from];
+                        part.walk.scatter(&mut staging, now, from, to, origin);
+                        off += to - from;
+                    }
+                    ctx.put_buf(vals);
                 }
-                for sc in &plan.blocks[bi] {
-                    (sc.kernel)(
-                        &mut stagings[sc.op],
-                        sc.addr,
-                        sc.gap,
-                        &vals[sc.off..sc.off + sc.len],
-                    );
-                }
-                ctx.put_buf(vals);
+                let mut at = 0usize;
+                prog.lhs.periods(lo, hi, |base, offs| {
+                    for &o in offs {
+                        local_a[base + o as usize] = f(&staging[at..at + nops]);
+                        at += nops;
+                    }
+                });
             }
             bcag_trace::count("recv_wait_ns", wait_ns);
-            // Apply phase: the owner-computes loop over kernel-bound LHS
-            // segments, reading all stagings in operand order — the same
-            // addresses, in the same order, with the same argument
-            // values as the interpreted compute phase.
-            let fref: &dyn Fn(&[T]) -> T = &f;
-            let mut args: Vec<T> = Vec::with_capacity(nops);
-            for step in &prog.apply {
-                (step.kernel)(
-                    local_a, &stagings, &mut args, fref, step.addr, step.gap, step.len,
-                );
-            }
-            for st in stagings {
-                ctx.put_buf(st);
-            }
+            ctx.put_buf(staging);
         });
     }
-}
-
-/// Appends one gather run to `plan`, splitting it across ≤`cap`-element
-/// message blocks. `cur` tracks the open block's fill and persists
-/// across runs and operands, so block boundaries depend only on the
-/// compiled run sequence — which sender and receiver share.
-fn push_send_run<T: PackValue>(
-    plan: &mut SendPlan<T>,
-    cur: &mut usize,
-    cap: usize,
-    op: usize,
-    mut addr: usize,
-    gap: usize,
-    mut len: usize,
-    kernel: GatherFn<T>,
-) {
-    while len > 0 {
-        if plan.blocks.is_empty() || *cur == cap {
-            plan.blocks.push(SendBlock {
-                elements: 0,
-                gathers: Vec::new(),
-            });
-            *cur = 0;
-        }
-        let take = len.min(cap - *cur);
-        let blk = plan.blocks.last_mut().expect("block ensured above");
-        blk.gathers.push(GatherStep {
-            op,
-            addr,
-            gap,
-            len: take,
-            kernel,
-        });
-        blk.elements += take;
-        *cur += take;
-        addr += gap * take;
-        len -= take;
-    }
-}
-
-/// The receiver-side twin of [`push_send_run`]: same cap, same run
-/// sequence, therefore the same split points — each block's scatter
-/// offsets restart at zero because each block is its own payload.
-fn push_recv_run<T: PackValue>(
-    plan: &mut RecvPlan<T>,
-    cur: &mut usize,
-    cap: usize,
-    op: usize,
-    mut addr: usize,
-    gap: usize,
-    mut len: usize,
-    kernel: ScatterFn<T>,
-) {
-    while len > 0 {
-        if plan.blocks.is_empty() || *cur == cap {
-            plan.blocks.push(Vec::new());
-            *cur = 0;
-        }
-        let take = len.min(cap - *cur);
-        plan.blocks
-            .last_mut()
-            .expect("block ensured above")
-            .push(ScatterStep {
-                op,
-                addr,
-                gap,
-                len: take,
-                off: *cur,
-                kernel,
-            });
-        *cur += take;
-        addr += gap * take;
-        len -= take;
-    }
-}
-
-/// Clips an affine address walk `base + j * gap, j in 0..len` to the
-/// half-open range `[lo, hi)`: returns the first index and the clipped
-/// length, or `None` when the walk misses the range.
-fn clip_walk(base: usize, gap: usize, len: usize, lo: usize, hi: usize) -> Option<(usize, usize)> {
-    if len == 0 || base >= hi {
-        return None;
-    }
-    let gap = gap.max(1);
-    let j0 = if base >= lo {
-        0
-    } else {
-        (lo - base).div_ceil(gap)
-    };
-    if j0 >= len || base + j0 * gap >= hi {
-        return None;
-    }
-    let j1 = ((hi - 1 - base) / gap).min(len - 1);
-    Some((j0, j1 - j0 + 1))
-}
-
-/// Builds the L2-blocked ranges of a communication-free node program:
-/// partitions the touched local address space into ≤`block`-element
-/// ranges and clips every same-node move (by destination) and apply
-/// segment to its range, rebasing staging-side addresses by `-lo`.
-fn local_blocks_for<T: PackValue>(prog: &NodeProgram<T>, block: usize) -> Vec<LocalBlock<T>> {
-    let mut extent = 0usize;
-    for step in &prog.apply {
-        extent = extent.max(step.addr + (step.len - 1) * step.gap + 1);
-    }
-    for mv in prog.self_moves.iter().flatten() {
-        extent = extent.max(mv.dst + (mv.len - 1) * mv.dgap + 1);
-    }
-    if extent <= block {
-        return Vec::new();
-    }
-    let mut blocks = Vec::with_capacity(extent.div_ceil(block));
-    let mut lo = 0usize;
-    while lo < extent {
-        let hi = (lo + block).min(extent);
-        let moves = prog
-            .self_moves
-            .iter()
-            .map(|op_moves| {
-                op_moves
-                    .iter()
-                    .filter_map(|mv| {
-                        clip_walk(mv.dst, mv.dgap, mv.len, lo, hi).map(|(j0, len)| MoveStep {
-                            dst: mv.dst + j0 * mv.dgap - lo,
-                            dgap: mv.dgap,
-                            src: mv.src + j0 * mv.sgap,
-                            sgap: mv.sgap,
-                            len,
-                            kernel: mv.kernel,
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let apply = prog
-            .apply
-            .iter()
-            .filter_map(|step| {
-                clip_walk(step.addr, step.gap, step.len, lo, hi).map(|(j0, len)| ApplyStep {
-                    addr: step.addr + j0 * step.gap - lo,
-                    gap: step.gap,
-                    len,
-                    kernel: step.kernel,
-                })
-            })
-            .collect();
-        blocks.push(LocalBlock {
-            lo,
-            hi,
-            moves,
-            apply,
-        });
-        lo = hi;
-    }
-    blocks
 }
 
 /// Compiles the statement shape `A(sec_a) = f(ops…)` on a `(p, k_a)` LHS
@@ -882,9 +891,9 @@ fn local_blocks_for<T: PackValue>(prog: &NodeProgram<T>, block: usize) -> Vec<Lo
 /// `(k, section)`; planning artifacts (node plans, per-operand comm
 /// schedules) come from — and warm — the process-wide cache, so the
 /// locality analytics recorded at plan build time stay live under the
-/// fused path. `block` caps physical message payloads and local epoch
-/// ranges at that many elements (`0` = unblocked); callers derive it
-/// from [`epoch_block_elems`].
+/// fused path. `block` caps each node's ordinal blocks, and so its
+/// physical message payloads, at that many elements (`0` = unblocked);
+/// callers derive it from [`epoch_block_elems`].
 pub fn compile<T: PackValue>(
     p: i64,
     k_a: i64,
@@ -897,180 +906,138 @@ pub fn compile<T: PackValue>(
     let _sp = bcag_trace::span("fuse.compile");
     let _t = bcag_trace::timed_span("fuse_compile_ns");
     let plans = cache::plans(p, k_a, sec_a, Method::Lattice)?;
-    let mut schedules = Vec::with_capacity(ops.len());
-    for (k_b, sec_b) in ops {
-        schedules.push(cache::schedule(
-            p,
-            k_a,
-            sec_a,
-            *k_b,
-            sec_b,
-            Method::Lattice,
-            mode,
-            kind,
-        )?);
-    }
     let pu = p as usize;
-    let eb = std::mem::size_of::<T>();
-    // Message payload cap in elements; shared by both sides of every
-    // pair, so split points agree.
-    let cap = if block == 0 { usize::MAX } else { block };
-    let mut blocked = false;
+    let nops = ops.len();
+    // Ordinal block size of a node owning `count` elements. A peer sends
+    // one message per block, so blocks widen past the L2 target rather
+    // than exceed [`MAX_BLOCKS_PER_PEER`] per pair: the epoch protocol
+    // sends every block before receiving any, so on the shm fabric's
+    // fixed-capacity SPSC rings an unbounded block count could leave two
+    // peers spinning on mutually full rings. Keeping the per-pair
+    // envelope count under the ring capacity means a send can never
+    // block, whatever the transfer size.
+    let block_of = |count: usize| {
+        if block == 0 || count == 0 {
+            count.max(1)
+        } else {
+            block.max(count.div_ceil(MAX_BLOCKS_PER_PEER))
+        }
+    };
     let mut nodes = Vec::with_capacity(pu);
-    for me in 0..pu {
-        let mut prog: NodeProgram<T> = NodeProgram {
-            self_moves: Vec::with_capacity(ops.len()),
+    for plan in plans.iter() {
+        let (lhs, count) = lhs_walk(plan)?;
+        nodes.push(NodeProgram {
+            lhs,
+            count,
+            block: block_of(count),
+            moves: Vec::new(),
             sends: Vec::new(),
             recvs: Vec::new(),
-            apply: Vec::new(),
-            local_blocks: Vec::new(),
             moved: 0,
             msgs: 0,
             nonlocal: 0,
             seg_count: 0,
             seg_elems: 0,
-        };
-        // Per-peer accumulators: logical (operand, peer) messages merge
-        // into one physical message per peer per block, packed — and
-        // unpacked — in operand order, then compiled run order, so
-        // sender and receiver derive the same payload layout
-        // independently.
-        let mut send_acc: Vec<SendPlan<T>> = (0..pu)
-            .map(|dst| SendPlan {
-                dst,
-                charges: Vec::new(),
-                blocks: Vec::new(),
-            })
-            .collect();
-        let mut send_cur = vec![0usize; pu];
-        let mut recv_acc: Vec<RecvPlan<T>> = (0..pu)
-            .map(|src| RecvPlan {
-                src,
-                charges: Vec::new(),
-                blocks: Vec::new(),
-            })
-            .collect();
-        let mut recv_cur = vec![0usize; pu];
-        // Per-peer payload caps: the global cap widened so no pair ever
-        // splits into more than [`MAX_BLOCKS_PER_PEER`] envelopes. The
-        // epoch protocol sends every block before receiving any, so on
-        // the shm fabric's fixed-capacity SPSC rings an unbounded block
-        // count could leave two peers spinning on mutually full rings;
-        // keeping the per-pair envelope count under the ring capacity
-        // means a send can never block, whatever the transfer size.
-        // Sender and receiver widen from the same pair totals, so the
-        // split points still agree.
-        let mut send_cap = vec![cap; pu];
-        let mut recv_cap = vec![cap; pu];
-        if block > 0 {
-            for peer in 0..pu {
-                if peer == me {
-                    continue;
-                }
-                let out: usize = schedules.iter().map(|s| s.pair(me, peer).len()).sum();
-                send_cap[peer] = cap.max(out.div_ceil(MAX_BLOCKS_PER_PEER));
-                let inn: usize = schedules.iter().map(|s| s.pair(peer, me).len()).sum();
-                recv_cap[peer] = cap.max(inn.div_ceil(MAX_BLOCKS_PER_PEER));
-            }
-        }
-        for (op, sched) in schedules.iter().enumerate() {
-            let mut op_moves = Vec::new();
-            for dst in 0..pu {
-                let transfers = sched.pair(me, dst);
-                prog.moved += transfers.len() as u64;
-                let runs = sched.pair_runs(me, dst);
-                for r in runs {
-                    if r.len >= 2 {
-                        prog.seg_count += 1;
-                        prog.seg_elems += r.len as u64;
-                    }
-                }
-                if dst == me {
-                    for r in runs {
-                        op_moves.push(MoveStep {
-                            dst: r.dst_local as usize,
-                            dgap: r.dgap as usize,
-                            src: r.src_local as usize,
-                            sgap: r.sgap as usize,
-                            len: r.len as usize,
-                            kernel: move_kernel::<T>(
-                                ShapeClass::of_gap_for(r.sgap, eb),
-                                ShapeClass::of_gap_for(r.dgap, eb),
-                            ),
-                        });
-                    }
-                    continue;
-                }
-                if transfers.is_empty() {
-                    continue;
-                }
-                prog.msgs += 1;
-                prog.nonlocal += transfers.len() as u64;
-                let acc = &mut send_acc[dst];
-                acc.charges
-                    .push(wire::wire_size::<T>(runs.len(), transfers.len()) as u64);
-                for r in runs {
-                    push_send_run(
-                        acc,
-                        &mut send_cur[dst],
-                        send_cap[dst],
-                        op,
-                        r.src_local as usize,
-                        r.sgap as usize,
-                        r.len as usize,
-                        gather_kernel::<T>(ShapeClass::of_gap_for(r.sgap, eb)),
-                    );
-                }
-            }
-            prog.self_moves.push(op_moves);
-            for src in 0..pu {
-                let transfers = sched.pair(src, me);
-                if src == me || transfers.is_empty() {
-                    continue;
-                }
-                let runs = sched.pair_runs(src, me);
-                let acc = &mut recv_acc[src];
-                acc.charges
-                    .push(wire::wire_size::<T>(runs.len(), transfers.len()) as u64);
-                for r in runs {
-                    push_recv_run(
-                        acc,
-                        &mut recv_cur[src],
-                        recv_cap[src],
-                        op,
-                        r.dst_local as usize,
-                        r.dgap as usize,
-                        r.len as usize,
-                        scatter_kernel::<T>(ShapeClass::of_gap_for(r.dgap, eb)),
-                    );
-                }
-            }
-        }
-        prog.sends = send_acc
-            .into_iter()
-            .filter(|s| !s.charges.is_empty())
-            .collect();
-        prog.recvs = recv_acc
-            .into_iter()
-            .filter(|r| !r.charges.is_empty())
-            .collect();
-        if plans[me].start.is_some() {
-            for seg in lower_plan(&plans[me].runs) {
-                prog.apply.push(ApplyStep {
-                    addr: seg.addr as usize,
-                    gap: seg.gap as usize,
-                    len: seg.len as usize,
-                    kernel: apply_kernel::<T>(ShapeClass::of_gap_for(seg.gap, eb)),
-                });
-            }
-        }
-        if block > 0 && prog.sends.is_empty() && prog.recvs.is_empty() {
-            prog.local_blocks = local_blocks_for(&prog, block);
-        }
-        blocked |= !prog.local_blocks.is_empty() || prog.sends.iter().any(|s| s.blocks.len() > 1);
-        nodes.push(prog);
+        });
     }
-    Ok(FusedStatement { p, nodes, blocked })
+    // Streams indexed `from * p + to`, outgoing and inbound.
+    let stream = |i: usize| PeerStream {
+        peer: i % pu,
+        charges: Vec::new(),
+        parts: Vec::new(),
+    };
+    let mut outs: Vec<PeerStream> = (0..pu * pu).map(stream).collect();
+    let mut ins: Vec<PeerStream> = (0..pu * pu).map(stream).collect();
+    for (op, (k_b, sec_b)) in ops.iter().enumerate() {
+        let sched = cache::schedule(p, k_a, sec_a, *k_b, sec_b, Method::Lattice, mode, kind)?;
+        let step = joint_step(p, k_a, sec_a.s, *k_b, sec_b.s);
+        let (ds, dd) = step.unwrap_or((0, 0));
+        for src in 0..pu {
+            for dst in 0..pu {
+                let row = sched.pair(src, dst);
+                let runs = sched.pair_runs(src, dst);
+                let sender = &mut nodes[src];
+                sender.moved += row.len() as u64;
+                for r in runs.iter().filter(|r| r.len >= 2) {
+                    sender.seg_count += 1;
+                    sender.seg_elems += r.len as u64;
+                }
+                if row.is_empty() {
+                    continue;
+                }
+                let receiver = &nodes[dst];
+                // Destination ordinals advance by whole periods of the
+                // receiver's table only if the row's destination step
+                // is a multiple of the table's advance.
+                let lhs_adv = receiver.lhs.advance;
+                let fits =
+                    |&(_, dd): &(i64, i64)| lhs_adv > 0 && (dd as usize).is_multiple_of(lhs_adv);
+                let l = row_period(row, step.filter(fits));
+                let staged = staging_walk(&receiver.lhs, row, l, dd, nops, op)?;
+                let splits =
+                    block_splits(&staged, row.len(), receiver.block, nops, receiver.blocks());
+                let from = source_walk(row, l, ds)?;
+                let to = Part {
+                    op,
+                    walk: staged,
+                    splits,
+                };
+                let sender = &mut nodes[src];
+                if src == dst {
+                    sender.moves.push(Move {
+                        op,
+                        src: from,
+                        dst: to,
+                    });
+                    continue;
+                }
+                sender.msgs += 1;
+                sender.nonlocal += row.len() as u64;
+                let charge = wire::wire_size::<T>(runs.len(), row.len()) as u64;
+                let out = &mut outs[src * pu + dst];
+                out.charges.push(charge);
+                out.parts.push(Part {
+                    op,
+                    walk: from,
+                    splits: to.splits.clone(),
+                });
+                let inn = &mut ins[dst * pu + src];
+                inn.charges.push(charge);
+                inn.parts.push(to);
+            }
+        }
+    }
+    let mut outs = outs.into_iter();
+    let mut ins = ins.into_iter();
+    for node in nodes.iter_mut() {
+        node.sends = outs
+            .by_ref()
+            .take(pu)
+            .filter(|s| !s.parts.is_empty())
+            .map(|stream| SendPlan {
+                key: wire::msg_bytes_key(stream.peer),
+                stream,
+            })
+            .collect();
+        node.recvs = ins
+            .by_ref()
+            .take(pu)
+            .filter(|s| !s.parts.is_empty())
+            .collect();
+    }
+    let blocked = nodes.iter().any(|n| n.blocks() > 1);
+    if bcag_trace::enabled() {
+        let entries: usize = nodes.iter().map(NodeProgram::table_entries).sum();
+        bcag_trace::count("fuse_programs", 1);
+        bcag_trace::count("fuse_table_entries", entries as u64);
+    }
+    Ok(FusedStatement {
+        p,
+        nops,
+        nodes,
+        blocked,
+        _elem: PhantomData,
+    })
 }
 
 /// [`compile`] through the sharded plan cache: the program is built once
@@ -1162,40 +1129,54 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_their_generic_forms() {
-        let src: Vec<i64> = (0..64).collect();
-        for gap in [1usize, 2, 3, 4, 7] {
-            let kernel = gather_kernel::<i64>(ShapeClass::of_gap(gap as i64));
-            let mut got = Vec::new();
-            kernel(&mut got, &src, 3, gap, 5);
-            let mut want = Vec::new();
-            i64::extend_run(&mut want, &src, 3, gap, 5);
-            assert_eq!(got, want, "gather gap={gap}");
-
-            let scatter = scatter_kernel::<i64>(ShapeClass::of_gap(gap as i64));
-            let mut got_dst = vec![0i64; 64];
-            scatter(&mut got_dst, 2, gap, &want);
-            let mut want_dst = vec![0i64; 64];
-            i64::write_run(&mut want_dst, 2, gap, &want);
-            assert_eq!(got_dst, want_dst, "scatter gap={gap}");
+    fn walks_expand_their_period_tables() {
+        // Period 3, advance 10: 4, 5, 7 | 14, 15, 17 | 24, …
+        let w = Walk::new(4, 10, vec![0, 1, 3]);
+        assert!(!w.contiguous);
+        let addrs: Vec<usize> = (0..8).map(|i| w.at(i)).collect();
+        assert_eq!(addrs, [4, 5, 7, 14, 15, 17, 24, 25]);
+        for (i, &a) in addrs.iter().enumerate() {
+            assert_eq!(w.index_of(a), i);
         }
+        let src: Vec<i64> = (0..40).collect();
+        for (lo, hi) in [(0, 8), (1, 7), (2, 3), (3, 6), (5, 5)] {
+            let mut got = Vec::new();
+            w.gather(&mut got, &src, lo, hi);
+            let want: Vec<i64> = (lo..hi).map(|i| w.at(i) as i64).collect();
+            assert_eq!(got, want, "gather {lo}..{hi}");
+            let mut dst = vec![-1i64; 40];
+            w.scatter(&mut dst, &want, lo, hi, 0);
+            for i in lo..hi {
+                assert_eq!(dst[w.at(i)], w.at(i) as i64);
+            }
+            assert_eq!(dst.iter().filter(|&&v| v >= 0).count(), hi - lo);
+        }
+        // Contiguous periods copy as slices and agree with the index walk.
+        let c = Walk::new(2, 8, vec![0, 1, 2]);
+        assert!(c.contiguous);
+        let mut got = Vec::new();
+        c.gather(&mut got, &src, 1, 7);
+        assert_eq!(got, [3, 4, 10, 11, 12, 18]);
     }
 
     #[test]
-    fn move_kernels_cover_the_gap_grid() {
-        let src: Vec<i64> = (100..200).collect();
-        for sgap in [1i64, 2, 3, 4, 6] {
-            for dgap in [1i64, 2, 3, 4, 9] {
-                let kernel = move_kernel::<i64>(ShapeClass::of_gap(sgap), ShapeClass::of_gap(dgap));
-                let mut got = vec![0i64; 100];
-                kernel(&mut got, &src, 1, dgap as usize, 2, sgap as usize, 7);
-                let mut want = vec![0i64; 100];
-                for j in 0..7usize {
-                    want[1 + j * dgap as usize] = src[2 + j * sgap as usize];
-                }
-                assert_eq!(got, want, "sgap={sgap} dgap={dgap}");
-            }
-        }
+    fn rows_fold_to_their_period() {
+        let t = |s, d| Transfer {
+            src_local: s,
+            dst_local: d,
+        };
+        // Period 2 with step (10, 6), five transfers (a partial period).
+        let row = [t(1, 0), t(3, 2), t(11, 6), t(13, 8), t(21, 12)];
+        assert_eq!(row_period(&row, Some((10, 6))), 2);
+        // A wrong step, a broken repeat, or no step keep the row whole.
+        assert_eq!(row_period(&row, Some((10, 5))), 5);
+        let broken = [t(1, 0), t(3, 2), t(11, 6), t(14, 8)];
+        assert_eq!(row_period(&broken, Some((10, 6))), 4);
+        assert_eq!(row_period(&row, None), 5);
+        assert_eq!(row_period(&[], Some((10, 6))), 0);
+        let w = source_walk(&row, 2, 10).unwrap();
+        let expanded: Vec<usize> = (0..row.len()).map(|i| w.at(i)).collect();
+        assert_eq!(expanded, [1, 3, 11, 13, 21]);
     }
 
     #[test]
@@ -1234,27 +1215,20 @@ mod tests {
         let sec_a = RegularSection::new(1, 1171, 26).unwrap();
         let sec_b = RegularSection::new(3, 1173, 26).unwrap();
         let ops = vec![(9i64, sec_b)];
-        let first = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
-        let second = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            0,
-        )
-        .unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
+        let build = |block: usize| {
+            cached_program::<i64>(
+                3,
+                11,
+                &sec_a,
+                &ops,
+                ExecMode::Batched,
+                TransportKind::Mpsc,
+                block,
+            )
+            .unwrap()
+        };
+        let first = build(0);
+        assert!(Arc::ptr_eq(&first, &build(0)));
         // A different element type is a distinct cache entry.
         let other = cached_program::<f64>(
             3,
@@ -1269,17 +1243,7 @@ mod tests {
         assert!(other.census() == first.census());
         // A different block size is a distinct cache entry too: tune
         // A/B flips must never reuse the other regime's programs.
-        let chunked = cached_program::<i64>(
-            3,
-            11,
-            &sec_a,
-            &ops,
-            ExecMode::Batched,
-            TransportKind::Mpsc,
-            7,
-        )
-        .unwrap();
-        assert!(!Arc::ptr_eq(&first, &chunked));
+        assert!(!Arc::ptr_eq(&first, &build(7)));
     }
 
     #[test]
@@ -1298,15 +1262,49 @@ mod tests {
         let census = prog.census();
         assert!(census.sends > 0, "redistribution must send messages");
         assert_eq!(census.sends, census.recvs, "every send has a receiver");
-        assert!(census.apply_segments >= 4, "every node owns LHS elements");
-        assert!(
-            census.send_blocks > 0,
-            "unblocked sends still count one block each"
+        assert_eq!(census.applies, 4, "every node owns LHS elements");
+        assert_eq!(
+            census.send_blocks, census.sends,
+            "unblocked single-operand sends are one block each"
         );
         assert_eq!(
-            census.local_blocks, 0,
-            "unblocked programs compile no local ranges"
+            census.apply_blocks, census.applies,
+            "unblocked programs run one ordinal block per node"
         );
+        assert!(!prog.blocked());
+        assert!(census.table_entries > 0);
+    }
+
+    /// The program-size guard: the ledger's steady triad shape
+    /// (`A(0:n-1:s) = α·B + C` on p=4 with cyclic(8)/cyclic(5)/cyclic(64))
+    /// compiles to the same census — table entries included — whether the
+    /// section spans 2^16 or 2^21 elements. Program size is O(period),
+    /// not O(n).
+    #[test]
+    fn steady_triad_program_size_is_independent_of_n() {
+        let census = |n: i64, s: i64| {
+            let sec = RegularSection::new(0, (n - 1) / s * s, s).unwrap();
+            compile::<f64>(
+                4,
+                8,
+                &sec,
+                &[(5, sec), (64, sec)],
+                ExecMode::Batched,
+                TransportKind::Mpsc,
+                0,
+            )
+            .unwrap()
+            .census()
+        };
+        for s in [1i64, 9] {
+            let small = census(1 << 16, s);
+            assert!(
+                small.table_entries <= 1024,
+                "s={s}: {} table entries",
+                small.table_entries
+            );
+            assert_eq!(small, census(1 << 21, s), "s={s}");
+        }
     }
 
     #[test]
@@ -1348,6 +1346,7 @@ mod tests {
                 census.sends, base_census.sends,
                 "logical messages are cap-independent"
             );
+            assert_eq!(census.table_entries, base_census.table_entries);
             if block < 64 {
                 assert!(
                     census.send_blocks > base_census.send_blocks,
@@ -1373,11 +1372,11 @@ mod tests {
             compile::<i64>(2, 16, &sec, &ops, ExecMode::Batched, TransportKind::Shm, 1).unwrap();
         for node in &prog.nodes {
             for send in &node.sends {
-                assert!(send.blocks.len() > 1, "the transfer must still chunk");
+                let blocks = send.stream.messages();
+                assert!(blocks > 1, "the transfer must still chunk");
                 assert!(
-                    send.blocks.len() <= MAX_BLOCKS_PER_PEER,
-                    "per-pair envelope count must stay under the ring capacity, got {}",
-                    send.blocks.len()
+                    blocks <= MAX_BLOCKS_PER_PEER,
+                    "per-pair envelope count must stay under the ring capacity, got {blocks}"
                 );
             }
         }
@@ -1423,16 +1422,19 @@ mod tests {
                 pool::default_launch(),
                 TransportKind::Mpsc,
             );
-            (prog.census(), a.to_global())
+            (prog.census(), prog.blocked(), a.to_global())
         };
-        let (base_census, want) = run(0);
+        let (base_census, base_blocked, want) = run(0);
         assert_eq!(base_census.sends, 0, "same-layout copy never communicates");
+        assert!(!base_blocked);
         for block in [16usize, 100, 4096] {
-            let (census, got) = run(block);
+            let (census, blocked, got) = run(block);
             assert_eq!(got, want, "block={block}");
-            if block < 512 {
+            // Each node owns 199 or 200 of the 398 elements.
+            assert_eq!(blocked, block < 199, "block={block}");
+            if block < 199 {
                 assert!(
-                    census.local_blocks > 1,
+                    census.apply_blocks > 2,
                     "small caps must split the local epoch (block={block})"
                 );
             }

@@ -246,7 +246,7 @@ mod tests {
         let census = fuse_census(4, 8, &sec_a, &[(8, sec_b)]).unwrap();
         assert_eq!(census.sends, comm.messages);
         assert_eq!(census.recvs, comm.messages);
-        assert!(census.apply_segments > 0, "{census:?}");
+        assert!(census.applies > 0, "{census:?}");
         // Identity copy: all traffic is self-moves.
         let same = fuse_census(4, 8, &sec_a, &[(8, sec_a)]).unwrap();
         assert_eq!(same.sends, 0);

@@ -11,12 +11,16 @@
 
 use std::sync::Mutex;
 
+use bcag_core::method::Method;
 use bcag_core::section::RegularSection;
 use bcag_harness::prop::{self, Config};
 use bcag_harness::rng::Rng;
-use bcag_spmd::fuse::assign_fused_on;
+use bcag_spmd::comm::ExecMode;
+use bcag_spmd::fuse::{self, assign_fused_on};
 use bcag_spmd::pool::LaunchMode;
-use bcag_spmd::{assign_expr, set_default_fused, DistArray, FusedMode, TransportKind};
+use bcag_spmd::{
+    assign_expr, set_default_fused, CommSchedule, DistArray, FusedMode, TransportKind,
+};
 
 /// The fused-mode default is process-global and the interpreted
 /// reference runs need it `Off`; every test here flips it, so they
@@ -279,4 +283,348 @@ fn fused_self_assignment_snapshots() {
     for i in 90..100 {
         assert_eq!(g[i as usize], i);
     }
+}
+
+/// One random statement shape for the period-table suite, drawn from
+/// four regimes: rows that repeat many times with a partial last period;
+/// the paper's machine (p = 32, k up to 512), where periods outlast the
+/// section and rows keep themselves whole; communication-free copies;
+/// and zero-operand fills.
+#[derive(Debug, Clone)]
+struct TableCase {
+    p: i64,
+    k_a: i64,
+    n: i64,
+    sec_a: RegularSection,
+    ops: Vec<(i64, RegularSection)>,
+    kind: TransportKind,
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Ranks after which the owners of a stride-`s` section on `(p, k)` repeat.
+fn rank_period(p: i64, k: i64, s: i64) -> i64 {
+    p * k / gcd(s, p * k)
+}
+
+fn random_table_case(rng: &mut Rng) -> TableCase {
+    let kind = *rng.choice(&[TransportKind::Mpsc, TransportKind::Shm]);
+    let section = |rng: &mut Rng, count: i64, max_stride: i64| {
+        let stride = rng.random_range(1..=max_stride);
+        let lo = rng.random_range(0..=17);
+        RegularSection::new(lo, lo + (count - 1) * stride, stride).unwrap()
+    };
+    let regime = rng.random_range(0..4);
+    let (p, k_a, sec_a, ops) = match regime {
+        // Repeating rows: one to three whole joint periods plus a
+        // partial one.
+        0 => {
+            let p = rng.random_range(1..=4);
+            let k_a = rng.random_range(1..=8);
+            let k_b = rng.random_range(1..=8);
+            let (s_a, s_b) = (rng.random_range(1..=9), rng.random_range(1..=9));
+            let (ta, tb) = (rank_period(p, k_a, s_a), rank_period(p, k_b, s_b));
+            let t = ta / gcd(ta, tb) * tb;
+            let count = t * rng.random_range(1..=3) + rng.random_range(1..=t);
+            let lo_a = rng.random_range(0..=17);
+            let lo_b = rng.random_range(0..=17);
+            let sec_a = RegularSection::new(lo_a, lo_a + (count - 1) * s_a, s_a).unwrap();
+            let sec_b = RegularSection::new(lo_b, lo_b + (count - 1) * s_b, s_b).unwrap();
+            let mut ops = vec![(k_b, sec_b)];
+            if rng.random_bool(0.5) {
+                ops.push((k_a, sec_a));
+            }
+            (p, k_a, sec_a, ops)
+        }
+        // No repeat: the paper's machine with large blocks.
+        1 => {
+            let count = rng.random_range(1..=400);
+            let sec_a = section(rng, count, 40);
+            let sec_b = section(rng, count, 40);
+            (
+                32,
+                rng.random_range(1..=512),
+                sec_a,
+                vec![(rng.random_range(1..=512), sec_b)],
+            )
+        }
+        // Communication-free: the operand shares the LHS layout and
+        // section, so every transfer is a same-node move.
+        2 => {
+            let p = rng.random_range(1..=4);
+            let k = rng.random_range(1..=12);
+            let count = rng.random_range(1..=900);
+            let sec = section(rng, count, 6);
+            (p, k, sec, vec![(k, sec); rng.random_range(1..=2) as usize])
+        }
+        // Zero-operand fill.
+        _ => {
+            let p = rng.random_range(1..=4);
+            let count = rng.random_range(1..=900);
+            let sec = section(rng, count, 6);
+            (p, rng.random_range(1..=12), sec, Vec::new())
+        }
+    };
+    let hi = ops.iter().map(|(_, s)| s.u).fold(sec_a.u, i64::max);
+    TableCase {
+        p,
+        k_a,
+        n: hi + 1 + rng.random_range(0..=5),
+        sec_a,
+        ops,
+        kind,
+    }
+}
+
+/// Block caps that fall mid-period: 1, 7, and one either side of node
+/// 0's ordinals per joint period `L` (when the period is short enough
+/// to count), plus `0` (unblocked).
+fn block_caps(case: &TableCase) -> Vec<usize> {
+    let mut t = rank_period(case.p, case.k_a, case.sec_a.s);
+    for (k, s) in &case.ops {
+        let tb = rank_period(case.p, *k, s.s);
+        t = t / gcd(t, tb) * tb;
+    }
+    let mut caps = vec![0usize, 1, 7];
+    if t <= 100_000 {
+        let owner = |g: i64| (g / case.k_a) % case.p;
+        let l = (0..t)
+            .filter(|r| owner(case.sec_a.l + r * case.sec_a.s) == 0)
+            .count();
+        caps.extend(
+            [l.saturating_sub(1), l, l + 1]
+                .into_iter()
+                .filter(|&c| c > 0),
+        );
+    }
+    caps.sort_unstable();
+    caps.dedup();
+    caps
+}
+
+/// Runs one case's compiled programs at every block cap against a
+/// sequential global-array reference, bit for bit (`eq`), and checks
+/// that the program's period tables expand to the schedule's transfer
+/// rows exactly.
+fn table_differential<T, F>(
+    case: &TableCase,
+    value: impl Fn(i64, usize) -> T,
+    f: F,
+    eq: impl Fn(&T, &T) -> bool,
+) where
+    T: bcag_spmd::PackValue + std::fmt::Debug,
+    F: Fn(&[T]) -> T + Sync + Copy,
+{
+    let globals: Vec<Vec<T>> = (0..=case.ops.len())
+        .map(|j| (0..case.n).map(|i| value(i, j)).collect())
+        .collect();
+    let arrays: Vec<DistArray<T>> = case
+        .ops
+        .iter()
+        .zip(&globals[1..])
+        .map(|((k, _), g)| DistArray::from_global(case.p, *k, g).unwrap())
+        .collect();
+    let refs: Vec<&DistArray<T>> = arrays.iter().collect();
+    let mut want = globals[0].clone();
+    let mut args = Vec::with_capacity(case.ops.len());
+    for t in 0..case.sec_a.count() {
+        args.clear();
+        for ((_, s), g) in case.ops.iter().zip(&globals[1..]) {
+            args.push(g[(s.l + t * s.s) as usize].clone());
+        }
+        want[(case.sec_a.l + t * case.sec_a.s) as usize] = f(&args);
+    }
+    for block in block_caps(case) {
+        let prog = fuse::compile::<T>(
+            case.p,
+            case.k_a,
+            &case.sec_a,
+            &case.ops,
+            ExecMode::Batched,
+            case.kind,
+            block,
+        )
+        .unwrap();
+        if block == 0 {
+            for (op, (k_b, sec_b)) in case.ops.iter().enumerate() {
+                let sched = CommSchedule::build(
+                    case.p,
+                    case.k_a,
+                    &case.sec_a,
+                    *k_b,
+                    sec_b,
+                    Method::Lattice,
+                )
+                .unwrap();
+                for src in 0..case.p {
+                    for dst in 0..case.p {
+                        assert_eq!(
+                            prog.transfers(op, src as usize, dst as usize),
+                            sched.transfers(src, dst),
+                            "operand {op} row {src}->{dst}"
+                        );
+                    }
+                }
+            }
+        }
+        let mut a = DistArray::from_global(case.p, case.k_a, &globals[0]).unwrap();
+        prog.execute(&mut a, &refs, f, LaunchMode::Pooled, case.kind);
+        let got = a.to_global();
+        assert!(
+            got.iter().zip(&want).all(|(x, y)| eq(x, y)),
+            "block={block}: fused image diverges from the sequential reference"
+        );
+    }
+}
+
+#[test]
+fn period_tables_match_sequential_reference_f64() {
+    let _serial = lock_flag();
+    let cfg = Config {
+        cases: 48,
+        ..Config::default()
+    };
+    prop::check_with(
+        &cfg,
+        "fuse-tables-f64",
+        &prop::from_fn(random_table_case),
+        |case| {
+            table_differential(
+                case,
+                |i, j| ((i * 7 + 13 * j as i64) % 113) as f64 * 0.25 - 3.5,
+                |args: &[f64]| {
+                    args.iter()
+                        .enumerate()
+                        .map(|(j, v)| (j as f64 + 1.0) * v)
+                        .sum::<f64>()
+                        + 0.125
+                },
+                |a: &f64, b: &f64| a.to_bits() == b.to_bits(),
+            );
+        },
+    );
+}
+
+#[test]
+fn period_tables_match_sequential_reference_u8() {
+    let _serial = lock_flag();
+    let cfg = Config {
+        cases: 24,
+        ..Config::default()
+    };
+    prop::check_with(
+        &cfg,
+        "fuse-tables-u8",
+        &prop::from_fn(random_table_case),
+        |case| {
+            table_differential(
+                case,
+                |i, j| (i * 31 + 7 * j as i64) as u8,
+                |args: &[u8]| {
+                    args.iter()
+                        .fold(5u8, |acc, v| acc.wrapping_mul(3).wrapping_add(*v))
+                },
+                |a: &u8, b: &u8| a == b,
+            );
+        },
+    );
+}
+
+#[test]
+fn period_tables_match_sequential_reference_f64x4() {
+    let _serial = lock_flag();
+    let cfg = Config {
+        cases: 16,
+        ..Config::default()
+    };
+    prop::check_with(
+        &cfg,
+        "fuse-tables-f64x4",
+        &prop::from_fn(random_table_case),
+        |case| {
+            table_differential(
+                case,
+                |i, j| [i as f64, j as f64, -(i as f64) * 0.5, 1.0 / (i + 1) as f64],
+                |args: &[[f64; 4]]| {
+                    let mut out = [0.25f64; 4];
+                    for (j, v) in args.iter().enumerate() {
+                        for (o, x) in out.iter_mut().zip(v) {
+                            *o += (j as f64 + 1.0) * x;
+                        }
+                    }
+                    out
+                },
+                |a: &[f64; 4], b: &[f64; 4]| {
+                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                },
+            );
+        },
+    );
+}
+
+/// The fused epoch charges the interpreted path's deterministic trace
+/// counter totals, case by case.
+#[test]
+fn period_tables_keep_counter_parity_with_interpreted() {
+    let _serial = lock_flag();
+    let cfg = Config {
+        cases: 24,
+        ..Config::default()
+    };
+    const COUNTERS: [&str; 6] = [
+        "elements_moved",
+        "messages_sent",
+        "transport_bytes_tx",
+        "transport_bytes_rx",
+        "runs_coalesced",
+        "run_len_total",
+    ];
+    prop::check_with(
+        &cfg,
+        "fuse-tables-counters",
+        &prop::from_fn(random_table_case),
+        |case| {
+            let base: Vec<f64> = (0..case.n).map(|i| i as f64).collect();
+            let arrays: Vec<DistArray<f64>> = case
+                .ops
+                .iter()
+                .map(|(k, _)| DistArray::from_global(case.p, *k, &base).unwrap())
+                .collect();
+            let operands: Vec<(&DistArray<f64>, RegularSection)> = arrays
+                .iter()
+                .zip(&case.ops)
+                .map(|(a, (_, s))| (a, *s))
+                .collect();
+            let f = |args: &[f64]| args.iter().sum::<f64>() + 1.0;
+            let totals = |fused: bool| {
+                let mut a = DistArray::from_global(case.p, case.k_a, &base).unwrap();
+                let ((), trace) = bcag_trace::capture(|| {
+                    if fused {
+                        assign_fused_on(
+                            &mut a,
+                            &case.sec_a,
+                            &operands,
+                            f,
+                            LaunchMode::Pooled,
+                            case.kind,
+                        )
+                        .unwrap();
+                    } else {
+                        set_default_fused(FusedMode::Off);
+                        let r = assign_expr(&mut a, &case.sec_a, &operands, f);
+                        set_default_fused(FusedMode::On);
+                        r.unwrap();
+                    }
+                });
+                COUNTERS.map(|c| trace.counter_total(c))
+            };
+            assert_eq!(totals(true), totals(false), "{COUNTERS:?}");
+        },
+    );
 }

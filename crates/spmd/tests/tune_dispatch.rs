@@ -18,6 +18,7 @@ use bcag_core::section::RegularSection;
 use bcag_core::tune::{self, TuneMode};
 use bcag_harness::prop::{self, Config};
 use bcag_harness::rng::Rng;
+use bcag_spmd::comm::ExecMode;
 use bcag_spmd::fuse::{self, assign_fused_on};
 use bcag_spmd::pack::{pack_with_buf_mode, unpack_mode, PackMode};
 use bcag_spmd::pool::LaunchMode;
@@ -261,6 +262,21 @@ fn blocked_auto_statements_stay_bit_exact() {
     let sec = RegularSection::new(1, 88_887, 2).unwrap(); // 44 444 f64 ≈ 355 KiB ≫ 32 KiB
     let base: Vec<f64> = (0..n).map(|i| (i % 1013) as f64 * 0.125 - 3.0).collect();
     let f = |args: &[f64]| args[0] * 1.5 - 0.5;
+    // The cached program each statement ran: its blocking is a property
+    // of the program, unlike the process-global `fuse::last_blocked`.
+    let program = |mode: TuneMode, k_a: i64, k_b: i64| {
+        let block = with_tune(mode, || fuse::epoch_block_elems::<f64>(&sec));
+        fuse::cached_program::<f64>(
+            3,
+            k_a,
+            &sec,
+            &[(k_b, sec)],
+            ExecMode::Batched,
+            TransportKind::Mpsc,
+            block,
+        )
+        .unwrap()
+    };
 
     // Comm-bearing: k_a ≠ k_b redistributes, so the blocked sends and
     // the per-src block-cursor recv routing are exercised.
@@ -278,9 +294,8 @@ fn blocked_auto_statements_stay_bit_exact() {
             )
             .unwrap();
         });
-        assert_eq!(
-            fuse::last_blocked(),
-            Some(false),
+        assert!(
+            !program(TuneMode::Fixed, k_a, k_b).blocked(),
             "fixed mode must compile unblocked"
         );
         let mut auto = DistArray::from_global(3, k_a, &base).unwrap();
@@ -295,9 +310,8 @@ fn blocked_auto_statements_stay_bit_exact() {
             )
             .unwrap();
         });
-        assert_eq!(
-            fuse::last_blocked(),
-            Some(true),
+        assert!(
+            program(TuneMode::Auto, k_a, k_b).blocked(),
             "a {} KiB transfer against a 32 KiB L2 must block (k_a={k_a})",
             44_444 * 8 / 1024,
         );

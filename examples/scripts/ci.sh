@@ -21,6 +21,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test --offline"
 cargo test -q --workspace --offline
 
+# The fused executor's differential suites must stay parallel-safe even
+# on 1-core hosts, where cargo would otherwise run their tests one at a
+# time.
+echo "==> fused-executor suites with 8 test threads"
+cargo test -q --offline -p bcag-spmd --test fuse_exec --test tune_dispatch \
+    -- --test-threads=8
+
 echo "==> bench smoke (--quick) for every target"
 for bench in construction sorting_ablation gcd_effect codeshapes \
              tableless comm_schedule comm_throughput exec_latency \
