@@ -485,6 +485,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         table.find(hash, key).is_some()
     }
 
+    /// Whether any resident key satisfies `pred` (a full scan, for
+    /// tests; recency and counters are untouched).
+    #[cfg(test)]
+    fn any_key(&self, pred: impl Fn(&K) -> bool) -> bool {
+        self.shards.iter().any(|shard| {
+            let table = shard.table.read().unwrap_or_else(|e| e.into_inner());
+            table.slots.iter().flatten().any(|slot| pred(&slot.key))
+        })
+    }
+
     /// Cheap `(hits, misses)` totals — atomic sums only, no table locks.
     /// The always-on flight recorder reads this on every statement.
     pub fn counters(&self) -> (u64, u64) {
@@ -850,6 +860,35 @@ mod tests {
     use super::*;
 
     const CTX: (ExecMode, TransportKind) = (ExecMode::Batched, TransportKind::Mpsc);
+
+    #[test]
+    fn any_key_finds_resident_keys() {
+        let store: ShardedCache<u32, u32> = ShardedCache::new(64, 8);
+        for k in [3u32, 40, 77] {
+            store.get_or_try_build(k, || Ok::<_, ()>(k)).unwrap();
+        }
+        assert!(store.any_key(|&k| k == 40));
+        assert!(!store.any_key(|&k| k == 41));
+    }
+
+    /// The fused compiler folds transfer rows without building a
+    /// communication schedule, so compiling a fresh shape leaves no
+    /// schedule of it behind in the plan cache.
+    #[test]
+    fn fused_compile_materializes_no_schedule() {
+        // A shape no other test uses: p = 6 with k = 13 against k = 17.
+        let sec_a = RegularSection::new(5, 5 + 37 * 190, 37).unwrap();
+        let sec_b = RegularSection::new(2, 2 + 19 * 190, 19).unwrap();
+        let prog =
+            crate::fuse::cached_program::<f64>(6, 13, &sec_a, &[(17, sec_b)], CTX.0, CTX.1, 0)
+                .unwrap();
+        assert!(prog.census().sends > 0, "the shape communicates");
+        let schedule_of_shape = |k: &Key| {
+            matches!(k, Key::Schedule { p: 6, k_a: 13, k_b: 17, sec_a: a, sec_b: b, .. }
+                if *a == sec_key(&sec_a) && *b == sec_key(&sec_b))
+        };
+        assert!(!store().any_key(schedule_of_shape));
+    }
 
     #[test]
     fn schedule_hits_share_one_arc() {

@@ -61,46 +61,56 @@ pub struct CommSchedule {
 }
 
 /// Greedy maximal constant-gap grouping of one transfer row (the
-/// communication-set analogue of `bcag_core::runs`). A run absorbs the
-/// next transfer while both address gaps stay constant; a non-unit run
-/// never steals the head of a following `(1, 1)` run, so the memcpy runs
-/// stay maximal.
-fn compile_transfer_runs(trs: &[Transfer], out: &mut crate::csr::CsrBuilder<TransferRun>) {
-    let gaps = |a: &Transfer, b: &Transfer| (b.src_local - a.src_local, b.dst_local - a.dst_local);
-    let n = trs.len();
-    let mut i = 0usize;
-    while i < n {
-        let mut len = 1i64;
-        let mut sgap = 1i64;
-        let mut dgap = 1i64;
-        if i + 1 < n {
-            let g = gaps(&trs[i], &trs[i + 1]);
+/// communication-set analogue of `bcag_core::runs`), emitted run by run.
+/// A run absorbs the next transfer while both address gaps stay
+/// constant; a non-unit run never steals the head of a following
+/// `(1, 1)` run, so the memcpy runs stay maximal.
+///
+/// The rule reads the row as a stream, each transfer once, through a
+/// window of three (a transfer and the two after it): a materialized row
+/// and a periodic table expanded on the fly ([`crate::fuse`]) go through
+/// this one definition, the latter in `O(1)` memory.
+pub(crate) fn transfer_runs(
+    row: impl IntoIterator<Item = Transfer>,
+    mut emit: impl FnMut(TransferRun),
+) {
+    let gaps = |a: Transfer, b: Transfer| (b.src_local - a.src_local, b.dst_local - a.dst_local);
+    let mut row = row.into_iter();
+    let mut w = [row.next(), row.next(), row.next()];
+    let mut slide = |w: &mut [Option<Transfer>; 3]| *w = [w[1], w[2], row.next()];
+    while let Some(head) = w[0] {
+        let mut run = TransferRun {
+            src_local: head.src_local,
+            dst_local: head.dst_local,
+            len: 1,
+            sgap: 1,
+            dgap: 1,
+        };
+        if let Some(next) = w[1] {
+            let g = gaps(head, next);
             // Start a multi-transfer run only if the gaps are positive and
             // either unit-unit (always worth a memcpy) or confirmed by a
             // second matching pair (don't steal a lone element).
-            let viable = g.0 > 0
-                && g.1 > 0
-                && (g == (1, 1) || (i + 2 < n && gaps(&trs[i + 1], &trs[i + 2]) == g));
+            let viable =
+                g.0 > 0 && g.1 > 0 && (g == (1, 1) || w[2].is_some_and(|c| gaps(next, c) == g));
             if viable {
-                (sgap, dgap) = g;
-                let mut j = i + 1;
-                while j + 1 < n
-                    && gaps(&trs[j], &trs[j + 1]) == g
-                    && (g == (1, 1) || j + 2 >= n || gaps(&trs[j + 1], &trs[j + 2]) != (1, 1))
-                {
-                    j += 1;
+                (run.sgap, run.dgap) = g;
+                // Slide onto the run's last transfer so far, then extend
+                // while the gap holds and no (1, 1) run starts next.
+                slide(&mut w);
+                run.len = 2;
+                while let [Some(x), Some(y), z] = w {
+                    let steals = g != (1, 1) && z.is_some_and(|z| gaps(y, z) == (1, 1));
+                    if gaps(x, y) != g || steals {
+                        break;
+                    }
+                    slide(&mut w);
+                    run.len += 1;
                 }
-                len = (j - i + 1) as i64;
             }
         }
-        out.push(TransferRun {
-            src_local: trs[i].src_local,
-            dst_local: trs[i].dst_local,
-            len,
-            sgap,
-            dgap,
-        });
-        i += len as usize;
+        slide(&mut w);
+        emit(run);
     }
 }
 
@@ -151,7 +161,7 @@ impl CommSchedule {
         let rows = pairs.rows();
         let mut runs = Csr::builder();
         for r in 0..rows {
-            compile_transfer_runs(pairs.row(r), &mut runs);
+            transfer_runs(pairs.row(r).iter().copied(), |run| runs.push(run));
             runs.finish_row();
         }
         CommSchedule {
@@ -453,6 +463,56 @@ mod tests {
         assert_eq!(sched2.total_elements(), 100);
         assert!(sched2.nonlocal_elements() > 0);
         assert!(sched2.nonempty_nonlocal_pairs() > 0);
+    }
+
+    #[test]
+    fn greedy_runs_keep_memcpy_runs_maximal() {
+        let runs = |row: &[(i64, i64)]| {
+            let mut out = Vec::new();
+            let row = row.iter().map(|&(s, d)| Transfer {
+                src_local: s,
+                dst_local: d,
+            });
+            transfer_runs(row, |r| {
+                out.push((r.src_local, r.dst_local, r.len, r.sgap, r.dgap))
+            });
+            out
+        };
+        // A (3, 2) run stops short of the head of the next (1, 1) run.
+        assert_eq!(
+            runs(&[
+                (0, 0),
+                (1, 1),
+                (2, 2),
+                (5, 4),
+                (8, 6),
+                (11, 8),
+                (12, 9),
+                (13, 10)
+            ]),
+            [(0, 0, 3, 1, 1), (5, 4, 2, 3, 2), (11, 8, 3, 1, 1)]
+        );
+        assert_eq!(
+            runs(&[(0, 0), (2, 3), (4, 6), (5, 7), (6, 8)]),
+            [(0, 0, 2, 2, 3), (4, 6, 3, 1, 1)]
+        );
+        // A non-unit gap needs a second matching pair; non-positive gaps
+        // never start a run.
+        assert_eq!(
+            runs(&[(0, 0), (3, 2), (5, 4), (9, 5)]),
+            [
+                (0, 0, 1, 1, 1),
+                (3, 2, 1, 1, 1),
+                (5, 4, 1, 1, 1),
+                (9, 5, 1, 1, 1)
+            ]
+        );
+        assert_eq!(
+            runs(&[(0, 5), (1, 4), (2, 3)]),
+            [(0, 5, 1, 1, 1), (1, 4, 1, 1, 1), (2, 3, 1, 1, 1)]
+        );
+        assert_eq!(runs(&[(4, 1)]), [(4, 1, 1, 1, 1)]);
+        assert!(runs(&[]).is_empty());
     }
 
     #[test]

@@ -15,23 +15,30 @@
 //! periodic table (a `Walk`: element `i` sits at
 //! `base + (i / L)·advance + offs[i % L]`).
 //!
-//! - **Transfer rows fold to their period.** For operand `B` against LHS
-//!   `A`, the owners of section rank `t` on both sides repeat every
-//!   `T = lcm(p·k_a / gcd(s_a, p·k_a), p·k_b / gcd(s_b, p·k_b))` ranks, so
-//!   every `(src, dst)` row of the [`CommSchedule`](crate::comm::CommSchedule) repeats every `L`
-//!   entries with the constant local-address advance `(T·s_b/p, T·s_a/p)`.
-//!   The compiler keeps the first `L` entries of each row, after checking
-//!   the repeat against the whole row. On shapes whose period is longer
-//!   than the section the row keeps itself whole, so nothing is lost.
+//! - **Transfer rows are built folded to their period.** For operand `B`
+//!   against LHS `A`, the owners of section rank `t` on both sides repeat
+//!   every `T = lcm(p·k_a / gcd(s_a, p·k_a), p·k_b / gcd(s_b, p·k_b))`
+//!   ranks, and the local addresses advance by `(T·s_b/p, T·s_a/p)` (the
+//!   periodicity lemma, pinned by a unit test). So every `(src, dst)` row
+//!   of the communication schedule is its first `L` entries repeated with
+//!   that advance, and the compiler never builds the schedule: it places
+//!   the ranks `t < min(T, count)` with `Layout::owner`/`local_addr` on
+//!   both sides, buckets them by row with one counting sort, and derives
+//!   each row's length from `count / T` whole periods plus the ranks of a
+//!   partial last one — `O(min(T, count))` work and memory per operand.
+//!   On shapes whose period outlasts the section the rows are whole, so
+//!   nothing is lost. Each row's run count (for the canonical wire
+//!   charge and `runs_coalesced`) streams the schedule's greedy run rule
+//!   over the expanded row in `O(1)` memory.
 //! - **Staging by LHS ordinal.** The receiving side of every row is
 //!   stored as LHS *ordinals*: the position of the destination element in
-//!   the node's own access sequence, found by a binary search of the
-//!   node's one-period table. Each node stages its operands in one buffer
-//!   of `owned × operands` values (one ordinal block of them when
-//!   blocked, below), interleaved so that the apply loop reads an
-//!   element's argument list as one contiguous slice. The
-//!   schedule is a bijection between the sections, so every slot is
-//!   written exactly once per epoch: no snapshot of the LHS is taken.
+//!   the node's own access sequence, counted per receiver while the ranks
+//!   are placed. Each node stages its operands in one buffer of
+//!   `owned × operands` values (one ordinal block of them when blocked,
+//!   below), interleaved so that the apply loop reads an element's
+//!   argument list as one contiguous slice. The transfers are a
+//!   bijection between the sections, so every slot is written exactly
+//!   once per epoch: no snapshot of the LHS is taken.
 //! - **Apply walks the node's ΔM table** ([`NodePlan::delta_m`]) in access
 //!   order, reading the staging buffer sequentially.
 //!
@@ -49,8 +56,10 @@
 //! at canonical wire size, so deterministic totals keep parity.
 //!
 //! Programs are cached in the sharded plan cache ([`crate::cache::fused`])
-//! next to the schedules they were compiled from, so single-flight builds
-//! and LRU eviction cover them for free. The fused path is selected by
+//! next to the LHS node plans they walk, so single-flight builds and LRU
+//! eviction cover them for free; no schedule is cached for them. Each
+//! node program keeps its period tables and block splits in one arena.
+//! The fused path is selected by
 //! [`default_fused`] (`BCAG_FUSE=on|off`, default on) and keeps **bit-exact
 //! parity** with the interpreted path: every LHS element is computed from
 //! the same argument values, and every deterministic trace counter total
@@ -83,11 +92,14 @@ use std::sync::{Arc, Mutex};
 use bcag_core::error::{BcagError, Result};
 use bcag_core::method::Method;
 use bcag_core::numth::gcd;
+use bcag_core::params::Problem;
 use bcag_core::section::RegularSection;
 use bcag_core::tune::{self, TuneMode};
+use bcag_core::Layout;
 
 use crate::assign::NodePlan;
 use crate::cache;
+use crate::comm::schedule::{check_sections, transfer_runs};
 use crate::comm::wire::{self, PackValue};
 use crate::comm::{ExecMode, Transfer};
 use crate::darray::DistArray;
@@ -213,16 +225,50 @@ fn for_each_period(period: usize, lo: usize, hi: usize, mut f: impl FnMut(usize,
     }
 }
 
+/// A range of a node program's table arena, which holds every period
+/// table and block split of the program back to back.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: usize,
+    len: usize,
+}
+
+impl Span {
+    /// Appends `vals` to `arena` and returns where they landed.
+    fn push(arena: &mut Vec<u32>, vals: &[u32]) -> Span {
+        let at = arena.len();
+        arena.extend_from_slice(vals);
+        Span {
+            at,
+            len: vals.len(),
+        }
+    }
+
+    fn of(self, arena: &[u32]) -> &[u32] {
+        &arena[self.at..self.at + self.len]
+    }
+
+    /// Elements `splits[b]..splits[b + 1]` of a span holding block
+    /// splits.
+    fn block(self, arena: &[u32], b: usize) -> (usize, usize) {
+        let s = self.of(arena);
+        (s[b] as usize, s[b + 1] as usize)
+    }
+}
+
 /// A periodic index stream — the paper's access-sequence form: element
-/// `i` sits at `base + (i / L)·advance + offs[i % L]`, with `L =
-/// offs.len()` and `offs[0] == 0`. Every gather, scatter, move and apply
-/// loop of a fused epoch walks one of these.
+/// `i` sits at `base + (i / L)·advance + offs[i % L]`, with `L` the
+/// table's length and `offs[0] == 0`. Every gather, scatter, move and
+/// apply loop of a fused epoch walks one of these. The one-period table
+/// `offs` lives in the owning node program's arena, which every method
+/// takes as `tables`.
+#[derive(Debug, Clone, Copy)]
 struct Walk {
     base: usize,
     /// Address advance per period (unused when the stream never wraps).
     advance: usize,
     /// One period of offsets from the period's base, strictly increasing.
-    offs: Vec<u32>,
+    offs: Span,
     /// `offs[j] == j`: each period is one contiguous slice.
     contiguous: bool,
 }
@@ -235,47 +281,36 @@ fn offset(v: usize) -> Result<u32> {
 }
 
 impl Walk {
-    fn new(base: usize, advance: usize, offs: Vec<u32>) -> Walk {
-        let contiguous = offs.iter().enumerate().all(|(j, &o)| o as usize == j);
+    /// A walk over the one-period table `offs`, appended to `tables`.
+    fn push(tables: &mut Vec<u32>, base: usize, advance: usize, offs: &[u32]) -> Walk {
         Walk {
             base,
             advance,
-            offs,
-            contiguous,
+            contiguous: offs.iter().enumerate().all(|(j, &o)| o as usize == j),
+            offs: Span::push(tables, offs),
         }
     }
 
     /// Address of element `i`.
-    fn at(&self, i: usize) -> usize {
-        let l = self.offs.len();
-        self.base + (i / l) * self.advance + self.offs[i % l] as usize
-    }
-
-    /// Element index of `addr`, which the walk must visit: `O(log L)`
-    /// against the one-period table, never a whole-image map.
-    fn index_of(&self, addr: usize) -> usize {
-        let d = addr - self.base;
-        let q = d.checked_div(self.advance).unwrap_or(0);
-        let r = d - q * self.advance;
-        let j = u32::try_from(r)
-            .ok()
-            .and_then(|r| self.offs.binary_search(&r).ok())
-            .expect("address lies on the node's access sequence");
-        q * self.offs.len() + j
+    fn at(&self, tables: &[u32], i: usize) -> usize {
+        let offs = self.offs.of(tables);
+        let l = offs.len();
+        self.base + (i / l) * self.advance + offs[i % l] as usize
     }
 
     /// Calls `f(base, offs)` once per period the element range `[lo, hi)`
     /// touches: those elements sit at `base + offs[..]`.
     #[inline]
-    fn periods(&self, lo: usize, hi: usize, mut f: impl FnMut(usize, &[u32])) {
-        for_each_period(self.offs.len(), lo, hi, |q, j0, j1| {
-            f(self.base + q * self.advance, &self.offs[j0..j1])
+    fn periods(&self, tables: &[u32], lo: usize, hi: usize, mut f: impl FnMut(usize, &[u32])) {
+        let offs = self.offs.of(tables);
+        for_each_period(offs.len(), lo, hi, |q, j0, j1| {
+            f(self.base + q * self.advance, &offs[j0..j1])
         });
     }
 
     /// Appends elements `[lo, hi)` of the walk over `src` onto `out`.
-    fn gather<T: Clone>(&self, out: &mut Vec<T>, src: &[T], lo: usize, hi: usize) {
-        self.periods(lo, hi, |base, offs| {
+    fn gather<T: Clone>(&self, tables: &[u32], out: &mut Vec<T>, src: &[T], lo: usize, hi: usize) {
+        self.periods(tables, lo, hi, |base, offs| {
             if self.contiguous {
                 let at = base + offs[0] as usize;
                 out.extend_from_slice(&src[at..at + offs.len()]);
@@ -287,9 +322,16 @@ impl Walk {
 
     /// Writes `vals` to elements `[lo, hi)` of the walk over `dst`, whose
     /// first element is address `origin`.
-    fn scatter<T: Clone>(&self, dst: &mut [T], vals: &[T], lo: usize, hi: usize, origin: usize) {
+    fn scatter<T: Clone>(
+        &self,
+        tables: &[u32],
+        dst: &mut [T],
+        vals: &[T],
+        (lo, hi): (usize, usize),
+        origin: usize,
+    ) {
         let mut vals = vals;
-        self.periods(lo, hi, |base, offs| {
+        self.periods(tables, lo, hi, |base, offs| {
             let (now, rest) = vals.split_at(offs.len());
             vals = rest;
             if self.contiguous {
@@ -304,30 +346,6 @@ impl Walk {
     }
 }
 
-/// One transfer row folded to its period: the first `L` entries plus the
-/// per-period advance. `L` is the index of the transfer that repeats
-/// transfer 0 shifted by `step = (source, destination)` local advance,
-/// provided every later transfer repeats likewise; otherwise (no step,
-/// or a row shorter than a period) `L` is the row's length.
-fn row_period(row: &[Transfer], step: Option<(i64, i64)>) -> usize {
-    let n = row.len();
-    let (Some((ds, dd)), Some(first)) = (step, row.first()) else {
-        return n;
-    };
-    let target = first.src_local + ds;
-    let l = row.partition_point(|t| t.src_local < target);
-    let repeats = l < n
-        && row[l..]
-            .iter()
-            .zip(row)
-            .all(|(t, u)| t.src_local == u.src_local + ds && t.dst_local == u.dst_local + dd);
-    if repeats {
-        l
-    } else {
-        n
-    }
-}
-
 /// Ranks after which the owners of a stride-`s` section on a `(p, k)`
 /// layout repeat: `p·k / gcd(s, p·k)`.
 fn rank_period(p: i64, k: i64, s: i64) -> Option<i64> {
@@ -335,63 +353,188 @@ fn rank_period(p: i64, k: i64, s: i64) -> Option<i64> {
     Some(pk / gcd(s, pk))
 }
 
-/// The `(source, destination)` local-address advance after which every
-/// transfer row of `A(sec_a) = B(sec_b)` repeats: `(T·s_b/p, T·s_a/p)`
-/// for the joint rank period `T`. `None` on overflow (rows then keep
-/// themselves whole).
-fn joint_step(p: i64, k_a: i64, s_a: i64, k_b: i64, s_b: i64) -> Option<(i64, i64)> {
+/// The joint rank period `T = lcm(T_a, T_b)` of `A(sec_a) = B(sec_b)`,
+/// `T_x` the [`rank_period`] of each side. The periodicity lemma (tested
+/// below): rank `t + T` has the same owner as rank `t` on both sides, and
+/// local addresses advanced by `(T·s_b/p, T·s_a/p)` — `T·s` is a multiple
+/// of `p·k`, so the element moves whole rounds of the layout. `None` when
+/// `T` overflows; it then outlasts every section.
+fn joint_period(p: i64, k_a: i64, s_a: i64, k_b: i64, s_b: i64) -> Option<i64> {
     let (ta, tb) = (rank_period(p, k_a, s_a)?, rank_period(p, k_b, s_b)?);
-    let t = (ta / gcd(ta, tb)).checked_mul(tb)?;
-    Some((t.checked_mul(s_b)? / p, t.checked_mul(s_a)? / p))
+    (ta / gcd(ta, tb)).checked_mul(tb)
 }
 
-/// The source side of a folded row: local addresses in the sender's
-/// operand memory.
-fn source_walk(row: &[Transfer], l: usize, ds: i64) -> Result<Walk> {
-    let base = row[0].src_local as usize;
-    let offs = row[..l]
-        .iter()
-        .map(|t| offset(t.src_local as usize - base))
-        .collect::<Result<Vec<u32>>>()?;
-    let advance = if l < row.len() { ds as usize } else { 0 };
-    Ok(Walk::new(base, advance, offs))
-}
-
-/// The destination side of a folded row: slots of operand `op` in the
-/// receiver's interleaved staging buffer (`ordinal × nops + op`), where
-/// the ordinal is the destination's position in `lhs`, the receiver's
+/// One rank of an operand's first joint period: the local addresses of
+/// its element on the source (operand) and destination (LHS) nodes, and
+/// the destination's ordinal — its position in the receiving node's
 /// access sequence.
-fn staging_walk(
-    lhs: &Walk,
-    row: &[Transfer],
-    l: usize,
-    dd: i64,
-    nops: usize,
-    op: usize,
-) -> Result<Walk> {
-    let ord0 = lhs.index_of(row[0].dst_local as usize);
-    let offs = row[..l]
-        .iter()
-        .map(|t| offset((lhs.index_of(t.dst_local as usize) - ord0) * nops))
-        .collect::<Result<Vec<u32>>>()?;
-    // A folded row advances by whole periods of the receiver's table
-    // (checked by the caller), so its ordinals advance by whole periods
-    // of ordinals.
-    let advance = if l < row.len() {
-        dd as usize / lhs.advance * lhs.offs.len() * nops
-    } else {
-        0
-    };
-    Ok(Walk::new(ord0 * nops + op, advance, offs))
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    rank: usize,
+    src: i64,
+    dst: i64,
+    ord: usize,
 }
 
-/// A node's own access sequence as a walk, and its element count: the
-/// one-period offset table of the ΔM gaps, advancing by their sum. A
-/// sequence shorter than one period keeps only the offsets it visits.
-fn lhs_walk(plan: &NodePlan) -> Result<(Walk, usize)> {
+/// The transfer rows of `A(sec_a) = B(sec_b)` folded to their first
+/// period, without materializing the schedule: the section ranks
+/// `t < min(T, count)` for the [`joint_period`] `T`, each placed by
+/// `Layout::owner`/`local_addr` on both sides and bucketed by
+/// `(source, destination)` row in rank order with one counting sort.
+/// By the periodicity lemma rank `t + T` lands in the same row as rank
+/// `t`, its addresses advanced by `step` and its ordinal by the ranks
+/// below `T` the receiver owns, so these entries are every row's first
+/// period. Work and memory are `O(min(T, count))`.
+struct Fold {
+    p: usize,
+    count: usize,
+    /// Ranks enumerated: `min(T, count)`.
+    period: usize,
+    /// `(source, destination)` local-address advance per period; zero
+    /// when the section ends within the first period.
+    step: (i64, i64),
+    /// Per destination node: ordinal advance per period (the ranks below
+    /// `period` it owns).
+    ord_step: Vec<usize>,
+    /// Row `src·p + dst` is `entries[rows[r]..rows[r + 1]]`.
+    rows: Vec<usize>,
+    entries: Vec<Entry>,
+}
+
+impl Fold {
+    fn new(
+        p: i64,
+        k_a: i64,
+        sec_a: &RegularSection,
+        k_b: i64,
+        sec_b: &RegularSection,
+    ) -> Result<Fold> {
+        check_sections(sec_a, sec_b)?;
+        Problem::new(p, k_a, sec_a.l, sec_a.s)?;
+        Problem::new(p, k_b, sec_b.l, sec_b.s)?;
+        let (pu, count) = (p as usize, sec_a.count() as usize);
+        let t = joint_period(p, k_a, sec_a.s, k_b, sec_b.s);
+        let period = t.map_or(count, |t| count.min(t as usize));
+        // Past the first period `T < count`, so `T·s` spans no more than
+        // the section and cannot overflow.
+        let step = if period < count {
+            let t = period as i64;
+            (t * sec_b.s / p, t * sec_a.s / p)
+        } else {
+            (0, 0)
+        };
+        let (lay_a, lay_b) = (Layout::from_raw(p, k_a), Layout::from_raw(p, k_b));
+        let mut ord_step = vec![0usize; pu];
+        let mut rows = vec![0usize; pu * pu + 1];
+        let mut tagged = Vec::with_capacity(period);
+        for t in 0..period {
+            let (a, b) = (sec_a.l + t as i64 * sec_a.s, sec_b.l + t as i64 * sec_b.s);
+            let dst = lay_a.owner(a) as usize;
+            let r = lay_b.owner(b) as usize * pu + dst;
+            let entry = Entry {
+                rank: t,
+                src: lay_b.local_addr(b),
+                dst: lay_a.local_addr(a),
+                ord: ord_step[dst],
+            };
+            ord_step[dst] += 1;
+            rows[r + 1] += 1;
+            tagged.push((r, entry));
+        }
+        for r in 0..pu * pu {
+            rows[r + 1] += rows[r];
+        }
+        // Stable counting sort: each row keeps rank order.
+        let mut cursor = rows[..pu * pu].to_vec();
+        let mut entries = vec![Entry::default(); period];
+        for (r, entry) in tagged {
+            entries[cursor[r]] = entry;
+            cursor[r] += 1;
+        }
+        Ok(Fold {
+            p: pu,
+            count,
+            period,
+            step,
+            ord_step,
+            rows,
+            entries,
+        })
+    }
+
+    /// The `src → dst` row.
+    fn row(&self, src: usize, dst: usize) -> Row<'_> {
+        let r = src * self.p + dst;
+        let entries = &self.entries[self.rows[r]..self.rows[r + 1]];
+        // Whole periods, then the ranks of a partial last one.
+        let len = match self.period {
+            0 => 0,
+            t => {
+                self.count / t * entries.len()
+                    + entries.partition_point(|e| e.rank < self.count % t)
+            }
+        };
+        Row {
+            entries,
+            len,
+            step: self.step,
+        }
+    }
+}
+
+/// One folded transfer row: its first-period entries, and its length
+/// over the whole section.
+struct Row<'a> {
+    entries: &'a [Entry],
+    len: usize,
+    step: (i64, i64),
+}
+
+/// What the greedy run rule makes of a row: the runs the interpreted
+/// path would pack it into, and the coalesced (multi-element) ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RowRuns {
+    runs: usize,
+    segs: u64,
+    seg_elems: u64,
+}
+
+impl Row<'_> {
+    /// The row's transfers, expanded on the fly from the first period.
+    fn transfers(&self) -> impl Iterator<Item = Transfer> + '_ {
+        let (ds, dd) = self.step;
+        (0i64..)
+            .flat_map(move |q| {
+                self.entries.iter().map(move |e| Transfer {
+                    src_local: e.src + q * ds,
+                    dst_local: e.dst + q * dd,
+                })
+            })
+            .take(self.len)
+    }
+
+    /// Streams the row through the greedy run rule in `O(1)` memory.
+    fn runs(&self) -> RowRuns {
+        let mut out = RowRuns::default();
+        transfer_runs(self.transfers(), |run| {
+            out.runs += 1;
+            if run.len >= 2 {
+                out.segs += 1;
+                out.seg_elems += run.len as u64;
+            }
+        });
+        out
+    }
+}
+
+/// A node's own access sequence as a walk appended to `tables`, and its
+/// element count: the one-period offset table of the ΔM gaps, advancing
+/// by their sum. A sequence shorter than one period keeps only the
+/// offsets it visits.
+fn lhs_walk(plan: &NodePlan, tables: &mut Vec<u32>) -> Result<(Walk, usize)> {
     let count = plan.runs.count();
     let Some(start) = plan.runs.start() else {
-        return Ok((Walk::new(0, 0, Vec::new()), 0));
+        return Ok((Walk::push(tables, 0, 0, &[]), 0));
     };
     let period = plan.delta_m.len().max(1).min(count);
     let mut offs = Vec::with_capacity(period);
@@ -406,48 +549,20 @@ fn lhs_walk(plan: &NodePlan) -> Result<(Walk, usize)> {
     } else {
         0
     };
-    Ok((Walk::new(start as usize, advance, offs), count))
-}
-
-/// Element indices at which the receiver's ordinal blocks of `block`
-/// elements split a row whose staging walk is `to`: block `b` holds the
-/// row's elements `splits[b]..splits[b + 1]`. Rows run in rank order,
-/// and so in ordinal order, so each split is one binary search.
-fn block_splits(to: &Walk, count: usize, block: usize, nops: usize, blocks: usize) -> Vec<usize> {
-    let mut splits = Vec::with_capacity(blocks + 1);
-    splits.push(0);
-    for b in 1..blocks {
-        // The first element whose slot lies in block `b` or later.
-        let first_slot = b * block * nops;
-        let (mut lo, mut hi) = (*splits.last().expect("starts at 0"), count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if to.at(mid) < first_slot {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        splits.push(lo);
-    }
-    splits.push(count);
-    splits
+    Ok((Walk::push(tables, start as usize, advance, &offs), count))
 }
 
 /// One operand's share of a peer stream: a walk over operand `op`'s
 /// local memory on the sender, over the staging buffer on the receiver,
-/// split at the receiver's ordinal blocks: block `b` carries elements
-/// `splits[b]..splits[b + 1]`, and the last split is the element count.
+/// split at the receiver's ordinal blocks (`splits`, see
+/// [`Span::block`]; the last split is the element count). `charge` is
+/// the canonical wire size of the logical (operand, peer) message, so
+/// trace totals still match the interpreted path.
 struct Part {
     op: usize,
     walk: Walk,
-    splits: Vec<usize>,
-}
-
-impl Part {
-    fn range(&self, b: usize) -> (usize, usize) {
-        (self.splits[b], self.splits[b + 1])
-    }
+    splits: Span,
+    charge: u64,
 }
 
 /// Everything one node exchanges with one peer per epoch: every
@@ -455,33 +570,33 @@ impl Part {
 /// per non-empty ordinal block of the receiver. The interpreted path
 /// exchanges operand by operand in separate epochs; the fused compiler
 /// sees the whole statement, so it merges them. Sender and receiver
-/// share the split points, so the wire carries only values. `charges`
-/// keeps one canonical wire size per *logical* (operand, peer) message
-/// so trace totals still match the interpreted path.
+/// share the split points, so the wire carries only values.
 struct PeerStream {
     peer: usize,
-    charges: Vec<u64>,
     parts: Vec<Part>,
 }
 
 impl PeerStream {
     /// Ordinal blocks of the receiver (messages, counting empty ones).
     fn blocks(&self) -> usize {
-        self.parts.first().map_or(0, |p| p.splits.len() - 1)
+        self.parts.first().map_or(0, |p| p.splits.len - 1)
     }
 
     /// Elements the message of block `b` carries.
-    fn block_len(&self, b: usize) -> usize {
+    fn block_len(&self, tables: &[u32], b: usize) -> usize {
         self.parts
             .iter()
-            .map(|p| p.splits[b + 1] - p.splits[b])
+            .map(|p| {
+                let (lo, hi) = p.splits.block(tables, b);
+                hi - lo
+            })
             .sum()
     }
 
     /// Physical messages per epoch (non-empty blocks).
-    fn messages(&self) -> usize {
+    fn messages(&self, tables: &[u32]) -> usize {
         (0..self.blocks())
-            .filter(|&b| self.block_len(b) > 0)
+            .filter(|&b| self.block_len(tables, b) > 0)
             .count()
     }
 
@@ -503,17 +618,26 @@ struct SendPlan {
 struct Move {
     op: usize,
     src: Walk,
-    dst: Part,
+    dst: Walk,
+    splits: Span,
 }
 
 impl Move {
     /// Copies transfers `[lo, hi)` into the staging buffer, whose first
     /// element is slot `origin`.
-    fn run<T: Clone>(&self, staging: &mut [T], src: &[T], lo: usize, hi: usize, origin: usize) {
-        let (s, d) = (&self.src, &self.dst.walk);
-        for_each_period(s.offs.len(), lo, hi, |q, j0, j1| {
+    fn run<T: Clone>(
+        &self,
+        tables: &[u32],
+        staging: &mut [T],
+        src: &[T],
+        (lo, hi): (usize, usize),
+        origin: usize,
+    ) {
+        let (s, d) = (&self.src, &self.dst);
+        let (s_offs, d_offs) = (s.offs.of(tables), d.offs.of(tables));
+        for_each_period(s_offs.len(), lo, hi, |q, j0, j1| {
             let (sb, db) = (s.base + q * s.advance, d.base + q * d.advance);
-            let (so, dof) = (&s.offs[j0..j1], &d.offs[j0..j1]);
+            let (so, dof) = (&s_offs[j0..j1], &d_offs[j0..j1]);
             if s.contiguous && d.contiguous {
                 let (sa, da) = (sb + so[0] as usize, db + dof[0] as usize - origin);
                 staging[da..da + so.len()].clone_from_slice(&src[sa..sa + so.len()]);
@@ -530,6 +654,10 @@ impl Move {
 /// totals the epoch charges (identical to the interpreted path's
 /// per-operand emissions, summed).
 struct NodeProgram {
+    /// The arena: every period table and block split of the program
+    /// back to back, addressed by [`Span`]s — one allocation per node
+    /// instead of two per row.
+    tables: Vec<u32>,
     /// The node's LHS access sequence; staging slot `i × nops + op` holds
     /// operand `op`'s value for its element `i`.
     lhs: Walk,
@@ -563,14 +691,41 @@ impl NodeProgram {
         self.count.div_ceil(self.block)
     }
 
+    /// Writes to `out` the element indices at which this node's ordinal
+    /// blocks split an inbound row of `count` elements whose staging walk
+    /// is `to`: block `b` holds the row's elements `out[b]..out[b + 1]`.
+    /// Rows run in rank order, and so in ordinal order, so each split is
+    /// one binary search.
+    fn block_splits(&self, to: &Walk, count: usize, nops: usize, out: &mut Vec<u32>) -> Result<()> {
+        out.clear();
+        out.push(0);
+        let mut lo = 0usize;
+        for b in 1..self.blocks() {
+            // The first element whose slot lies in block `b` or later.
+            let first_slot = b * self.block * nops;
+            let mut hi = count;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if to.at(&self.tables, mid) < first_slot {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            out.push(offset(lo)?);
+        }
+        out.push(offset(count)?);
+        Ok(())
+    }
+
     /// Period-table entries across every walk of the program.
     fn table_entries(&self) -> usize {
-        let parts = |s: &PeerStream| s.parts.iter().map(|p| p.walk.offs.len()).sum::<usize>();
-        self.lhs.offs.len()
+        let parts = |s: &PeerStream| s.parts.iter().map(|p| p.walk.offs.len).sum::<usize>();
+        self.lhs.offs.len
             + self
                 .moves
                 .iter()
-                .map(|m| m.src.offs.len() + m.dst.walk.offs.len())
+                .map(|m| m.src.offs.len + m.dst.offs.len)
                 .sum::<usize>()
             + self.sends.iter().map(|s| parts(&s.stream)).sum::<usize>()
             + self.recvs.iter().map(parts).sum::<usize>()
@@ -667,15 +822,15 @@ impl<T: PackValue> FusedStatement<T> {
     pub fn census(&self) -> FuseCensus {
         let mut c = FuseCensus::default();
         for n in &self.nodes {
-            c.sends += n
-                .sends
-                .iter()
-                .map(|s| s.stream.charges.len())
-                .sum::<usize>();
-            c.recvs += n.recvs.iter().map(|r| r.charges.len()).sum::<usize>();
+            c.sends += n.sends.iter().map(|s| s.stream.parts.len()).sum::<usize>();
+            c.recvs += n.recvs.iter().map(|r| r.parts.len()).sum::<usize>();
             c.self_moves += n.moves.len();
             c.applies += usize::from(n.count > 0);
-            c.send_blocks += n.sends.iter().map(|s| s.stream.messages()).sum::<usize>();
+            c.send_blocks += n
+                .sends
+                .iter()
+                .map(|s| s.stream.messages(&n.tables))
+                .sum::<usize>();
             c.apply_blocks += n.blocks();
             c.table_entries += n.table_entries();
         }
@@ -692,16 +847,16 @@ impl<T: PackValue> FusedStatement<T> {
     /// tables expand it: source addresses from the sender's gather (or
     /// move) table, destination addresses from the receiver's ordinal
     /// table mapped back through its access sequence. It equals
-    /// [`CommSchedule::transfers`] of the schedule the program was
-    /// compiled from — the check that folding rows to their period lost
-    /// nothing.
+    /// [`CommSchedule::transfers`] of the same statement shape, which the
+    /// compiler never builds — the check that folding rows to their first
+    /// period lost nothing.
     ///
     /// [`CommSchedule::transfers`]: crate::comm::CommSchedule::transfers
     pub fn transfers(&self, op: usize, src: usize, dst: usize) -> Vec<Transfer> {
         let (sender, receiver) = (&self.nodes[src], &self.nodes[dst]);
-        let (from, to) = if src == dst {
+        let (from, to, splits) = if src == dst {
             match sender.moves.iter().find(|m| m.op == op) {
-                Some(m) => (&m.src, &m.dst),
+                Some(m) => (m.src, m.dst, m.splits),
                 None => return Vec::new(),
             }
         } else {
@@ -712,15 +867,16 @@ impl<T: PackValue> FusedStatement<T> {
                 .find(|s| s.peer == dst);
             let inn = receiver.recvs.iter().find(|s| s.peer == src);
             match (out.and_then(|s| s.part(op)), inn.and_then(|s| s.part(op))) {
-                (Some(from), Some(to)) => (&from.walk, to),
+                (Some(from), Some(to)) => (from.walk, to.walk, to.splits),
                 _ => return Vec::new(),
             }
         };
-        let count = *to.splits.last().expect("splits end at the count");
+        let tables = &receiver.tables;
+        let count = *splits.of(tables).last().expect("splits end at the count") as usize;
         (0..count)
             .map(|i| Transfer {
-                src_local: from.at(i) as i64,
-                dst_local: receiver.lhs.at((to.walk.at(i) - op) / self.nops) as i64,
+                src_local: from.at(&sender.tables, i) as i64,
+                dst_local: receiver.lhs.at(tables, (to.at(tables, i) - op) / self.nops) as i64,
             })
             .collect()
     }
@@ -777,13 +933,13 @@ impl<T: PackValue> FusedStatement<T> {
             bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
             if bcag_trace::enabled() {
                 for send in &prog.sends {
-                    for &tx in &send.stream.charges {
+                    for tx in send.stream.parts.iter().map(|p| p.charge) {
                         bcag_trace::count("transport_bytes_tx", tx);
                         bcag_trace::record("msg_bytes", tx);
                         bcag_trace::record(send.key, tx);
                     }
                 }
-                for &rx in prog.recvs.iter().flat_map(|r| &r.charges) {
+                for rx in prog.recvs.iter().flat_map(|r| &r.parts).map(|p| p.charge) {
                     bcag_trace::count("transport_bytes_rx", rx);
                 }
             }
@@ -791,18 +947,24 @@ impl<T: PackValue> FusedStatement<T> {
             // ordinal block of that peer, every operand's traffic packed
             // back to back in operand order, block by block across peers
             // so every receiver can start on its first block early.
+            let tables = &prog.tables;
             let rounds = prog.sends.iter().map(|s| s.stream.blocks()).max();
             for b in 0..rounds.unwrap_or(0) {
                 for send in &prog.sends {
                     let stream = &send.stream;
-                    if b >= stream.blocks() || stream.block_len(b) == 0 {
+                    let len = if b < stream.blocks() {
+                        stream.block_len(tables, b)
+                    } else {
+                        0
+                    };
+                    if len == 0 {
                         continue;
                     }
                     let mut vals: Vec<T> = ctx.take_buf();
-                    vals.reserve(stream.block_len(b));
+                    vals.reserve(len);
                     for part in &stream.parts {
-                        let (lo, hi) = part.range(b);
-                        part.walk.gather(&mut vals, local(part.op), lo, hi);
+                        let (lo, hi) = part.splits.block(tables, b);
+                        part.walk.gather(tables, &mut vals, local(part.op), lo, hi);
                     }
                     if use_wire {
                         let mut bytes = wire::encode::<T>(&[], &vals);
@@ -841,11 +1003,11 @@ impl<T: PackValue> FusedStatement<T> {
                 let hi = prog.count.min(lo + prog.block);
                 let origin = lo * nops;
                 for mv in &prog.moves {
-                    let (from, to) = mv.dst.range(b);
-                    mv.run(&mut staging, local(mv.op), from, to, origin);
+                    let range = mv.splits.block(tables, b);
+                    mv.run(tables, &mut staging, local(mv.op), range, origin);
                 }
                 for (ri, stream) in prog.recvs.iter().enumerate() {
-                    if stream.block_len(b) == 0 {
+                    if stream.block_len(tables, b) == 0 {
                         continue;
                     }
                     let vals = match pending[ri].pop_front() {
@@ -865,15 +1027,16 @@ impl<T: PackValue> FusedStatement<T> {
                     };
                     let mut off = 0usize;
                     for part in &stream.parts {
-                        let (from, to) = part.range(b);
+                        let (from, to) = part.splits.block(tables, b);
                         let now = &vals[off..off + to - from];
-                        part.walk.scatter(&mut staging, now, from, to, origin);
+                        part.walk
+                            .scatter(tables, &mut staging, now, (from, to), origin);
                         off += to - from;
                     }
                     ctx.put_buf(vals);
                 }
                 let mut at = 0usize;
-                prog.lhs.periods(lo, hi, |base, offs| {
+                prog.lhs.periods(tables, lo, hi, |base, offs| {
                     for &o in offs {
                         local_a[base + o as usize] = f(&staging[at..at + nops]);
                         at += nops;
@@ -886,21 +1049,38 @@ impl<T: PackValue> FusedStatement<T> {
     }
 }
 
+/// The streams that carry traffic, every buffer sized exactly: a cached
+/// program holds no growth slack.
+fn live_streams(streams: impl Iterator<Item = PeerStream>) -> Vec<PeerStream> {
+    let mut live: Vec<PeerStream> = streams
+        .filter(|s| !s.parts.is_empty())
+        .map(|mut s| {
+            s.parts.shrink_to_fit();
+            s
+        })
+        .collect();
+    live.shrink_to_fit();
+    live
+}
+
 /// Compiles the statement shape `A(sec_a) = f(ops…)` on a `(p, k_a)` LHS
 /// layout into per-node fused epochs. `ops` lists each operand's
-/// `(k, section)`; planning artifacts (node plans, per-operand comm
-/// schedules) come from — and warm — the process-wide cache, so the
-/// locality analytics recorded at plan build time stay live under the
-/// fused path. `block` caps each node's ordinal blocks, and so its
-/// physical message payloads, at that many elements (`0` = unblocked);
-/// callers derive it from [`epoch_block_elems`].
+/// `(k, section)`. The LHS node plans come from — and warm — the
+/// process-wide cache, so the locality analytics recorded at plan build
+/// time stay live under the fused path; every operand's transfer rows
+/// are folded to their first period directly (see the module docs), so no
+/// communication schedule is built or cached. `block` caps each node's
+/// ordinal blocks, and so its physical message payloads, at that many
+/// elements (`0` = unblocked); callers derive it from
+/// [`epoch_block_elems`]. The program does not depend on `mode` and
+/// `kind`: they are the execution context [`cached_program`] keys it by.
 pub fn compile<T: PackValue>(
     p: i64,
     k_a: i64,
     sec_a: &RegularSection,
     ops: &[(i64, RegularSection)],
-    mode: ExecMode,
-    kind: TransportKind,
+    _mode: ExecMode,
+    _kind: TransportKind,
     block: usize,
 ) -> Result<FusedStatement<T>> {
     let _sp = bcag_trace::span("fuse.compile");
@@ -925,8 +1105,10 @@ pub fn compile<T: PackValue>(
     };
     let mut nodes = Vec::with_capacity(pu);
     for plan in plans.iter() {
-        let (lhs, count) = lhs_walk(plan)?;
+        let mut tables = Vec::new();
+        let (lhs, count) = lhs_walk(plan, &mut tables)?;
         nodes.push(NodeProgram {
+            tables,
             lhs,
             count,
             block: block_of(count),
@@ -943,87 +1125,90 @@ pub fn compile<T: PackValue>(
     // Streams indexed `from * p + to`, outgoing and inbound.
     let stream = |i: usize| PeerStream {
         peer: i % pu,
-        charges: Vec::new(),
         parts: Vec::new(),
     };
     let mut outs: Vec<PeerStream> = (0..pu * pu).map(stream).collect();
     let mut ins: Vec<PeerStream> = (0..pu * pu).map(stream).collect();
+    // Scratch for one row's offsets and block splits before they land in
+    // the node arenas.
+    let (mut offs, mut splits) = (Vec::new(), Vec::new());
     for (op, (k_b, sec_b)) in ops.iter().enumerate() {
-        let sched = cache::schedule(p, k_a, sec_a, *k_b, sec_b, Method::Lattice, mode, kind)?;
-        let step = joint_step(p, k_a, sec_a.s, *k_b, sec_b.s);
-        let (ds, dd) = step.unwrap_or((0, 0));
+        let fold = Fold::new(p, k_a, sec_a, *k_b, sec_b)?;
         for src in 0..pu {
             for dst in 0..pu {
-                let row = sched.pair(src, dst);
-                let runs = sched.pair_runs(src, dst);
+                let row = fold.row(src, dst);
+                let runs = row.runs();
                 let sender = &mut nodes[src];
-                sender.moved += row.len() as u64;
-                for r in runs.iter().filter(|r| r.len >= 2) {
-                    sender.seg_count += 1;
-                    sender.seg_elems += r.len as u64;
-                }
-                if row.is_empty() {
+                sender.moved += row.len as u64;
+                sender.seg_count += runs.segs;
+                sender.seg_elems += runs.seg_elems;
+                let Some(&first) = row.entries.first() else {
                     continue;
-                }
-                let receiver = &nodes[dst];
-                // Destination ordinals advance by whole periods of the
-                // receiver's table only if the row's destination step
-                // is a multiple of the table's advance.
-                let lhs_adv = receiver.lhs.advance;
-                let fits =
-                    |&(_, dd): &(i64, i64)| lhs_adv > 0 && (dd as usize).is_multiple_of(lhs_adv);
-                let l = row_period(row, step.filter(fits));
-                let staged = staging_walk(&receiver.lhs, row, l, dd, nops, op)?;
-                let splits =
-                    block_splits(&staged, row.len(), receiver.block, nops, receiver.blocks());
-                let from = source_walk(row, l, ds)?;
-                let to = Part {
-                    op,
-                    walk: staged,
-                    splits,
                 };
+                // The destination side: slots of operand `op` in the
+                // receiver's interleaved staging buffer (`ordinal × nops
+                // + op`), advancing by the ordinals it owns per period.
+                // (A row that ends within its first period never uses
+                // its walks' advance.)
+                offs.clear();
+                for e in row.entries {
+                    offs.push(offset((e.ord - first.ord) * nops)?);
+                }
+                let receiver = &mut nodes[dst];
+                let advance = fold.ord_step[dst] * nops;
+                let staged =
+                    Walk::push(&mut receiver.tables, first.ord * nops + op, advance, &offs);
+                receiver.block_splits(&staged, row.len, nops, &mut splits)?;
+                let to = Span::push(&mut receiver.tables, &splits);
+                // The source side: local addresses in the sender's
+                // operand memory.
+                offs.clear();
+                for e in row.entries {
+                    offs.push(offset((e.src - first.src) as usize)?);
+                }
                 let sender = &mut nodes[src];
+                let advance = fold.step.0 as usize;
+                let from = Walk::push(&mut sender.tables, first.src as usize, advance, &offs);
                 if src == dst {
                     sender.moves.push(Move {
                         op,
                         src: from,
-                        dst: to,
+                        dst: staged,
+                        splits: to,
                     });
                     continue;
                 }
                 sender.msgs += 1;
-                sender.nonlocal += row.len() as u64;
-                let charge = wire::wire_size::<T>(runs.len(), row.len()) as u64;
-                let out = &mut outs[src * pu + dst];
-                out.charges.push(charge);
-                out.parts.push(Part {
+                sender.nonlocal += row.len as u64;
+                let charge = wire::wire_size::<T>(runs.runs, row.len) as u64;
+                outs[src * pu + dst].parts.push(Part {
                     op,
                     walk: from,
-                    splits: to.splits.clone(),
+                    splits: Span::push(&mut sender.tables, &splits),
+                    charge,
                 });
-                let inn = &mut ins[dst * pu + src];
-                inn.charges.push(charge);
-                inn.parts.push(to);
+                ins[dst * pu + src].parts.push(Part {
+                    op,
+                    walk: staged,
+                    splits: to,
+                    charge,
+                });
             }
         }
     }
     let mut outs = outs.into_iter();
     let mut ins = ins.into_iter();
     for node in nodes.iter_mut() {
-        node.sends = outs
-            .by_ref()
-            .take(pu)
-            .filter(|s| !s.parts.is_empty())
+        node.sends = live_streams(outs.by_ref().take(pu))
+            .into_iter()
             .map(|stream| SendPlan {
                 key: wire::msg_bytes_key(stream.peer),
                 stream,
             })
             .collect();
-        node.recvs = ins
-            .by_ref()
-            .take(pu)
-            .filter(|s| !s.parts.is_empty())
-            .collect();
+        node.recvs = live_streams(ins.by_ref().take(pu));
+        node.moves.shrink_to_fit();
+        node.tables.shrink_to_fit();
     }
     let blocked = nodes.iter().any(|n| n.blocks() > 1);
     if bcag_trace::enabled() {
@@ -1116,6 +1301,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::CommSchedule;
 
     #[test]
     fn mode_names_and_flip() {
@@ -1130,53 +1316,134 @@ mod tests {
 
     #[test]
     fn walks_expand_their_period_tables() {
-        // Period 3, advance 10: 4, 5, 7 | 14, 15, 17 | 24, …
-        let w = Walk::new(4, 10, vec![0, 1, 3]);
+        // Two walks in one arena. Period 3, advance 10: 4, 5, 7 | 14, 15,
+        // 17 | 24, …
+        let mut tables = vec![99];
+        let w = Walk::push(&mut tables, 4, 10, &[0, 1, 3]);
+        let c = Walk::push(&mut tables, 2, 8, &[0, 1, 2]);
+        assert_eq!(tables, [99, 0, 1, 3, 0, 1, 2]);
         assert!(!w.contiguous);
-        let addrs: Vec<usize> = (0..8).map(|i| w.at(i)).collect();
+        let addrs: Vec<usize> = (0..8).map(|i| w.at(&tables, i)).collect();
         assert_eq!(addrs, [4, 5, 7, 14, 15, 17, 24, 25]);
-        for (i, &a) in addrs.iter().enumerate() {
-            assert_eq!(w.index_of(a), i);
-        }
         let src: Vec<i64> = (0..40).collect();
         for (lo, hi) in [(0, 8), (1, 7), (2, 3), (3, 6), (5, 5)] {
             let mut got = Vec::new();
-            w.gather(&mut got, &src, lo, hi);
-            let want: Vec<i64> = (lo..hi).map(|i| w.at(i) as i64).collect();
+            w.gather(&tables, &mut got, &src, lo, hi);
+            let want: Vec<i64> = (lo..hi).map(|i| w.at(&tables, i) as i64).collect();
             assert_eq!(got, want, "gather {lo}..{hi}");
             let mut dst = vec![-1i64; 40];
-            w.scatter(&mut dst, &want, lo, hi, 0);
+            w.scatter(&tables, &mut dst, &want, (lo, hi), 0);
             for i in lo..hi {
-                assert_eq!(dst[w.at(i)], w.at(i) as i64);
+                assert_eq!(dst[w.at(&tables, i)], w.at(&tables, i) as i64);
             }
             assert_eq!(dst.iter().filter(|&&v| v >= 0).count(), hi - lo);
         }
         // Contiguous periods copy as slices and agree with the index walk.
-        let c = Walk::new(2, 8, vec![0, 1, 2]);
         assert!(c.contiguous);
         let mut got = Vec::new();
-        c.gather(&mut got, &src, 1, 7);
+        c.gather(&tables, &mut got, &src, 1, 7);
         assert_eq!(got, [3, 4, 10, 11, 12, 18]);
     }
 
+    /// The periodicity lemma the fold rests on, in place of checking
+    /// every row against a materialized one: rank `t + T` has the same
+    /// owners as rank `t` on both sides, with local addresses advanced by
+    /// `(T·s_b/p, T·s_a/p)`.
     #[test]
-    fn rows_fold_to_their_period() {
-        let t = |s, d| Transfer {
-            src_local: s,
-            dst_local: d,
-        };
-        // Period 2 with step (10, 6), five transfers (a partial period).
-        let row = [t(1, 0), t(3, 2), t(11, 6), t(13, 8), t(21, 12)];
-        assert_eq!(row_period(&row, Some((10, 6))), 2);
-        // A wrong step, a broken repeat, or no step keep the row whole.
-        assert_eq!(row_period(&row, Some((10, 5))), 5);
-        let broken = [t(1, 0), t(3, 2), t(11, 6), t(14, 8)];
-        assert_eq!(row_period(&broken, Some((10, 6))), 4);
-        assert_eq!(row_period(&row, None), 5);
-        assert_eq!(row_period(&[], Some((10, 6))), 0);
-        let w = source_walk(&row, 2, 10).unwrap();
-        let expanded: Vec<usize> = (0..row.len()).map(|i| w.at(i)).collect();
-        assert_eq!(expanded, [1, 3, 11, 13, 21]);
+    fn joint_period_advances_owners_and_addresses() {
+        let mut rng = bcag_harness::Rng::seed_from_u64(0x7e51);
+        for _ in 0..400 {
+            let p = *rng.choice(&[1i64, 2, 3, 4, 5, 8, 32]);
+            let side = |rng: &mut bcag_harness::Rng| {
+                let k = rng.random_range(1..=64);
+                (
+                    Layout::from_raw(p, k),
+                    k,
+                    rng.random_range(0..=20),
+                    rng.random_range(1..=40),
+                )
+            };
+            let (a, b) = (side(&mut rng), side(&mut rng));
+            let t = joint_period(p, a.1, a.3, b.1, b.3).unwrap();
+            for (lay, k, l, s) in [a, b] {
+                assert_eq!(t * s % (p * k), 0, "T·s is a whole number of rounds");
+                for _ in 0..8 {
+                    let r = rng.random_range(0..3 * t);
+                    let (now, next) = (l + r * s, l + (r + t) * s);
+                    assert_eq!(lay.owner(next), lay.owner(now));
+                    assert_eq!(lay.local_addr(next), lay.local_addr(now) + t * s / p);
+                }
+            }
+        }
+        // The steady triad's shapes: cyclic(8) against itself, and
+        // cyclic(8) against cyclic(5) at stride 9.
+        assert_eq!(joint_period(4, 8, 1, 8, 1), Some(32));
+        assert_eq!(joint_period(4, 8, 9, 5, 9), Some(160));
+    }
+
+    /// Every folded row expands to the schedule's row and streams to the
+    /// schedule's runs: length, transfers, run count, coalesced segments
+    /// and their elements, and the canonical wire charge.
+    #[test]
+    fn folded_rows_match_the_schedule() {
+        let mut rng = bcag_harness::Rng::seed_from_u64(0xf01d);
+        // Regimes seen: partial last period, T >= count, l > 0,
+        // s_a != s_b, an empty row, an empty section.
+        let mut seen = [false; 6];
+        for trial in 0..160 {
+            let (p, k_max, count) = match trial % 3 {
+                // Several periods of a small machine.
+                0 => (rng.random_range(1..=5), 9, rng.random_range(1..=700)),
+                // The paper's machine: periods outlast the section.
+                1 => (32, 512, rng.random_range(1..=400)),
+                // Mid-size machine, a handful of periods.
+                _ => (rng.random_range(2..=8), 24, rng.random_range(100..=1500)),
+            };
+            let count = if trial == 7 { 0 } else { count };
+            let sec = |rng: &mut bcag_harness::Rng| {
+                let (l, s) = (rng.random_range(0..=13), rng.random_range(1..=11));
+                // An empty section has its upper bound below its lower.
+                let u = if count == 0 { l } else { l + (count - 1) * s };
+                RegularSection::new(l + i64::from(count == 0), u, s).unwrap()
+            };
+            let (sec_a, sec_b) = (sec(&mut rng), sec(&mut rng));
+            let (k_a, k_b) = (rng.random_range(1..=k_max), rng.random_range(1..=k_max));
+            let sched = CommSchedule::build(p, k_a, &sec_a, k_b, &sec_b, Method::Lattice).unwrap();
+            let fold = Fold::new(p, k_a, &sec_a, k_b, &sec_b).unwrap();
+            let t = joint_period(p, k_a, sec_a.s, k_b, sec_b.s).unwrap();
+            let count = count as usize;
+            seen[0] |= (t as usize) < count && !count.is_multiple_of(t as usize);
+            seen[1] |= t as usize >= count && p == 32;
+            seen[2] |= sec_a.l > 0 && sec_b.l > 0;
+            seen[3] |= sec_a.s != sec_b.s;
+            seen[5] |= count == 0;
+            for src in 0..p as usize {
+                for dst in 0..p as usize {
+                    let row = fold.row(src, dst);
+                    let want = sched.transfers(src as i64, dst as i64);
+                    let runs = sched.transfer_runs(src as i64, dst as i64);
+                    seen[4] |= want.is_empty();
+                    let shape =
+                        format!("p={p} k=({k_a},{k_b}) {sec_a:?} {sec_b:?} row {src}->{dst}");
+                    assert_eq!(row.len, want.len(), "{shape}");
+                    assert!(row.transfers().eq(want.iter().copied()), "{shape}");
+                    let coalesced = runs.iter().filter(|r| r.len >= 2);
+                    let got = row.runs();
+                    let expect = RowRuns {
+                        runs: runs.len(),
+                        segs: coalesced.clone().count() as u64,
+                        seg_elems: coalesced.map(|r| r.len as u64).sum(),
+                    };
+                    assert_eq!(got, expect, "{shape}");
+                    assert_eq!(
+                        wire::wire_size::<f64>(got.runs, row.len),
+                        wire::wire_size::<f64>(runs.len(), want.len()),
+                        "{shape}"
+                    );
+                }
+            }
+        }
+        assert_eq!(seen, [true; 6], "regimes covered");
     }
 
     #[test]
@@ -1372,7 +1639,7 @@ mod tests {
             compile::<i64>(2, 16, &sec, &ops, ExecMode::Batched, TransportKind::Shm, 1).unwrap();
         for node in &prog.nodes {
             for send in &node.sends {
-                let blocks = send.stream.messages();
+                let blocks = send.stream.messages(&node.tables);
                 assert!(blocks > 1, "the transfer must still chunk");
                 assert!(
                     blocks <= MAX_BLOCKS_PER_PEER,

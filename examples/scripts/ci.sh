@@ -28,6 +28,19 @@ echo "==> fused-executor suites with 8 test threads"
 cargo test -q --offline -p bcag-spmd --test fuse_exec --test tune_dispatch \
     -- --test-threads=8
 
+# The ledger is a workspace of its own, so the steps above never build
+# it. Build and run every workload briefly so an API change it uses
+# cannot break the benchmark unnoticed; gate only on its output checks,
+# never on a figure.
+echo "==> ledger smoke: every workload builds, runs and checks its outputs"
+ledger_last="$(python3 ledger/run.py --workload all --seconds 1 | tail -n 1)"
+python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("ledger smoke: correct=%s failed=%s" % (r.get("correct"), r.get("failed")))
+' "$ledger_last"
+
 echo "==> bench smoke (--quick) for every target"
 for bench in construction sorting_ablation gcd_effect codeshapes \
              tableless comm_schedule comm_throughput exec_latency \

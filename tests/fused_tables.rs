@@ -4,9 +4,10 @@
 //! sequential global-array reference, bit for bit, across the regimes the
 //! folding has to get right — rows that repeat with a partial last
 //! period, block caps that split a period, the paper's machine (p = 32,
-//! large k) where rows never repeat, communication-free copies and
-//! zero-operand fills — on the mpsc and shm fabrics, and check that the
-//! tables expand back to the communication schedule's rows.
+//! large k) where the joint rank period outlasts the section and rows
+//! never repeat, communication-free copies and zero-operand fills — on
+//! the mpsc and shm fabrics, and check that the tables expand back to
+//! the communication schedule's rows, which the compiler never builds.
 //! `crates/spmd/tests/fuse_exec.rs` holds the larger property suite.
 
 use bcag::core::method::Method;
@@ -30,9 +31,25 @@ fn section(rng: &mut Rng, count: i64, max_stride: i64) -> RegularSection {
     RegularSection::new(lo, lo + (count - 1) * stride, stride).unwrap()
 }
 
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Ranks after which the owners of both sides of `A(s_a) = B(s_b)`
+/// repeat: the lcm of `p·k / gcd(s, p·k)` over the two sides.
+fn joint_period(p: i64, (k_a, s_a): (i64, i64), (k_b, s_b): (i64, i64)) -> i64 {
+    let side = |k: i64, s: i64| p * k / gcd(s, p * k);
+    let (ta, tb) = (side(k_a, s_a), side(k_b, s_b));
+    ta / gcd(ta, tb) * tb
+}
+
 fn random_case(rng: &mut Rng, trial: usize) -> Case {
-    let kind = [TransportKind::Mpsc, TransportKind::Shm][trial % 2];
-    let (p, k_a, sec_a, ops) = match trial % 4 {
+    let kind = [TransportKind::Mpsc, TransportKind::Shm][trial / 6 % 2];
+    let (p, k_a, sec_a, ops) = match trial % 6 {
         // Several periods of a small machine, with a partial last one.
         0 => {
             let count = rng.random_range(200..=1500);
@@ -54,8 +71,47 @@ fn random_case(rng: &mut Rng, trial: usize) -> Case {
             let k_b = rng.random_range(1..=512);
             (32, rng.random_range(1..=512), sec_a, vec![(k_b, sec_b)])
         }
-        // Communication-free copy.
+        // A partial last period: whole periods of the joint rank period
+        // `T`, then some of the next.
         2 => {
+            let p = rng.random_range(1..=4);
+            let (k_a, k_b) = (rng.random_range(1..=8), rng.random_range(1..=8));
+            let (s_a, s_b) = (rng.random_range(1..=9), rng.random_range(1..=9));
+            let t = joint_period(p, (k_a, s_a), (k_b, s_b));
+            let count = rng.random_range(1..=3) * t + rng.random_range(1..t.max(2));
+            let at = |rng: &mut Rng, s: i64| {
+                let lo = rng.random_range(0..=11);
+                RegularSection::new(lo, lo + (count - 1) * s, s).unwrap()
+            };
+            let (sec_a, sec_b) = (at(rng, s_a), at(rng, s_b));
+            (p, k_a, sec_a, vec![(k_b, sec_b)])
+        }
+        // The joint period outlasts the section (`T >= count`) on the
+        // paper's machine, with two operands.
+        3 => {
+            let (k_a, k_b, k_c) = (
+                rng.random_range(1..=512),
+                rng.random_range(1..=512),
+                rng.random_range(1..=512),
+            );
+            let stride = |rng: &mut Rng| rng.random_range(1..=40);
+            let (s_a, s_b, s_c) = (stride(rng), stride(rng), stride(rng));
+            let t = joint_period(32, (k_a, s_a), (k_b, s_b)).min(joint_period(
+                32,
+                (k_a, s_a),
+                (k_c, s_c),
+            ));
+            let count = rng.random_range(1..=t.min(600));
+            let at = |rng: &mut Rng, s: i64| {
+                let lo = rng.random_range(0..=11);
+                RegularSection::new(lo, lo + (count - 1) * s, s).unwrap()
+            };
+            let sec_a = at(rng, s_a);
+            let ops = vec![(k_b, at(rng, s_b)), (k_c, at(rng, s_c))];
+            (32, k_a, sec_a, ops)
+        }
+        // Communication-free copy.
+        4 => {
             let k = rng.random_range(1..=12);
             let count = rng.random_range(1..=900);
             let sec = section(rng, count, 5);
@@ -153,7 +209,7 @@ where
 #[test]
 fn fused_tables_match_sequential_reference() {
     let mut rng = Rng::seed_from_u64(12);
-    for trial in 0..16 {
+    for trial in 0..24 {
         let case = random_case(&mut rng, trial);
         check_case(
             &case,
