@@ -21,6 +21,8 @@
 //! `bcag-trace` session as the `reuse_distance_lines` histogram plus
 //! `locality_*` counters.
 
+use std::collections::HashMap;
+
 use bcag_trace::Histogram;
 
 use crate::runs::RunPlan;
@@ -63,56 +65,89 @@ impl LocalityStats {
 /// granularity and returns its locality metrics. `elem_bytes` is the
 /// element width the addresses index (8 for the `f64`/`i64` arrays the
 /// runtime moves).
+///
+/// Stack distances are counted, not found by scanning an LRU stack: a
+/// Fenwick tree over access times marks each line's most recent access,
+/// so the distinct lines touched since a line's previous access `t0` are
+/// the marks after `t0` — `O(log n)` per access, `O(n log n)` per replay
+/// rather than `O(n × working set)`.
 pub fn analyze(plan: &RunPlan, elem_bytes: usize) -> LocalityStats {
     let elem_bytes = elem_bytes.max(1) as u64;
-    // LRU stack of line addresses, most recently used at the back. The
-    // working set of a strided traversal prefix is small (it grows only
-    // on cold misses), so a linear scan beats fancier structures here,
-    // mirroring the schedule cache's reasoning.
-    let mut stack: Vec<u64> = Vec::new();
+    let n = plan.count().min(MAX_ANALYZED);
+    let mut marks = Fenwick::new(n);
+    // Each line's most recent access time.
+    let mut last: HashMap<u64, usize> = HashMap::new();
     let mut reuse = Histogram::new();
-    let mut elements = 0u64;
-    let mut cold = 0u64;
+    let mut elements = 0usize;
     plan.for_each_segment(|seg| {
         for j in 0..seg.len {
-            if elements >= MAX_ANALYZED as u64 {
+            if elements >= n {
                 return;
             }
-            elements += 1;
             let byte_addr = (seg.addr + j * seg.gap) as u64 * elem_bytes;
             let line = byte_addr / CACHE_LINE_BYTES;
             // A multi-byte element can straddle a line; charging the
             // first line keeps the replay one-access-per-element.
-            if let Some(pos) = stack.iter().rposition(|&l| l == line) {
-                let distance = (stack.len() - 1 - pos) as u64;
-                stack.remove(pos);
-                stack.push(line);
-                reuse.record(distance);
-            } else {
-                cold += 1;
-                stack.push(line);
+            if let Some(t0) = last.insert(line, elements) {
+                reuse.record(marks.prefix(elements) - marks.prefix(t0 + 1));
+                marks.add(t0, -1);
             }
+            marks.add(elements, 1);
+            elements += 1;
         }
     });
+    let lines = last.len() as u64;
     LocalityStats {
-        elements,
-        lines: stack.len() as u64,
-        bytes_touched: elements * elem_bytes,
-        cold_misses: cold,
+        elements: elements as u64,
+        lines,
+        bytes_touched: elements as u64 * elem_bytes,
+        cold_misses: lines,
         reuse,
+    }
+}
+
+/// A Fenwick (binary indexed) tree of counts over positions `0..n`.
+struct Fenwick {
+    tree: Vec<i64>,
+}
+
+impl Fenwick {
+    fn new(n: usize) -> Fenwick {
+        Fenwick {
+            tree: vec![0; n + 1],
+        }
+    }
+
+    /// Adds `delta` at position `i`.
+    fn add(&mut self, i: usize, delta: i64) {
+        let mut i = i + 1;
+        while i < self.tree.len() {
+            self.tree[i] += delta;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The sum over positions `0..i`.
+    fn prefix(&self, i: usize) -> u64 {
+        let (mut i, mut sum) = (i, 0i64);
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum as u64
     }
 }
 
 /// Histogram-free locality summary for the tuning pass: distinct lines
 /// and bytes over (a bounded prefix of) the traversal, skipping the LRU
-/// replay entirely — [`analyze`]'s stack scan is `O(elements × working
-/// set)`, too slow for the plan-compile path, while a distinct-line
-/// count is `O(elements)`. The returned stats carry an empty `reuse`
+/// replay entirely — [`analyze`] is `O(elements × log elements)` plus a
+/// histogram, more than the plan-compile path needs, while a
+/// distinct-line count is `O(elements)`. The returned stats carry an empty `reuse`
 /// histogram and `cold_misses == lines`; `max_elems` bounds the replay
 /// (the gap table is periodic, so a few periods converge).
 pub fn analyze_lines(plan: &RunPlan, elem_bytes: usize, max_elems: usize) -> LocalityStats {
     let elem_bytes = elem_bytes.max(1) as u64;
-    let mut lines: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let mut lines = std::collections::HashSet::new();
     let mut elements = 0u64;
     plan.for_each_segment(|seg| {
         for j in 0..seg.len {
@@ -158,6 +193,63 @@ pub fn record(plan: &RunPlan, elem_bytes: usize) -> Option<LocalityStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear LRU-stack replay [`analyze`] replaced: most recently
+    /// used line at the back, each re-touch found by a backward scan.
+    /// `O(elements × working set)`; kept as the oracle.
+    fn analyze_linear(plan: &RunPlan, elem_bytes: usize) -> LocalityStats {
+        let elem_bytes = elem_bytes.max(1) as u64;
+        let mut stack: Vec<u64> = Vec::new();
+        let mut reuse = Histogram::new();
+        let mut elements = 0u64;
+        let mut cold = 0u64;
+        plan.for_each_segment(|seg| {
+            for j in 0..seg.len {
+                if elements >= MAX_ANALYZED as u64 {
+                    return;
+                }
+                elements += 1;
+                let line = (seg.addr + j * seg.gap) as u64 * elem_bytes / CACHE_LINE_BYTES;
+                if let Some(pos) = stack.iter().rposition(|&l| l == line) {
+                    reuse.record((stack.len() - 1 - pos) as u64);
+                    stack.remove(pos);
+                } else {
+                    cold += 1;
+                }
+                stack.push(line);
+            }
+        });
+        LocalityStats {
+            elements,
+            lines: stack.len() as u64,
+            bytes_touched: elements * elem_bytes,
+            cold_misses: cold,
+            reuse,
+        }
+    }
+
+    /// The Fenwick replay reports exactly what the linear stack scan
+    /// does — counters and the whole reuse histogram — on random plans,
+    /// bounded ones included.
+    #[test]
+    fn fenwick_replay_matches_linear_stack() {
+        let mut rng = bcag_harness::Rng::seed_from_u64(0x10ca1);
+        for trial in 0..120 {
+            let period = rng.random_range(1..=12) as usize;
+            let gaps: Vec<i64> = (0..period).map(|_| rng.random_range(1..=40)).collect();
+            let start = rng.random_range(0..=100i64);
+            // Every tenth plan runs past the analysis bound.
+            let span = if trial % 10 == 0 {
+                1 << 20
+            } else {
+                rng.random_range(0..=6000)
+            };
+            let plan = RunPlan::compile(Some(start), start + span, &gaps);
+            let eb = *rng.choice(&[1usize, 4, 8, 32]);
+            let (got, want) = (analyze(&plan, eb), analyze_linear(&plan, eb));
+            assert_eq!(got, want, "gaps {gaps:?} start {start} span {span} eb {eb}");
+        }
+    }
 
     fn uniform_plan(start: i64, last: i64, gap: i64) -> RunPlan {
         // A one-period gap table with a constant gap compiles to Uniform.

@@ -44,21 +44,36 @@
 //!
 //! Gather, same-node move and scatter copy a whole period as one slice
 //! when its table is contiguous on both sides, and index through the
-//! table otherwise. The executed epoch is exactly **one pool dispatch**:
-//! each node gathers and sends its outgoing traffic, moves its same-node
-//! transfers, drains a counted inbox into its staging buffer, then runs
-//! the owner-computes loop. Because the compiler sees every operand at
-//! once it also **coalesces messages by destination**: all logical
-//! (operand, peer) messages of the statement merge into one physical
-//! message per peer per epoch — an optimization the interpreted path
-//! structurally cannot perform, since it exchanges operand by operand in
-//! separate epochs. Trace counters are still charged per logical message
-//! at canonical wire size, so deterministic totals keep parity.
+//! table otherwise. Because the compiler sees every operand at once it
+//! also **coalesces messages by destination**: all logical (operand,
+//! peer) messages of the statement merge into one physical message per
+//! peer and block — an optimization the interpreted path structurally
+//! cannot perform, since it exchanges operand by operand in separate
+//! epochs. Trace counters are still charged per logical message at
+//! canonical wire size, so deterministic totals keep parity.
+//!
+//! **Execution: block rounds on a few lanes.** Every node's sends and
+//! receives are known at compile time down to the block, so no node has
+//! to wait to learn what it gets, and the `p` node programs need not be
+//! `p` blocked threads. [`FusedStatement::execute`] runs them on
+//! `W = min(p, hardware threads)` lanes — the first `W` workers of the
+//! statement's `(p, kind)` pool, in one dispatch — in rounds: round `b`
+//! gathers every node's block-`b` messages into the lanes' outboxes, the
+//! lanes meet at a barrier, and every node then moves, scatters and
+//! applies its block `b`. Node programs are claimed one at a time within
+//! a phase, messages never touch the transport fabric, and at most one
+//! block per `(src, dst)` pair is in flight (see [`Epoch`]). An epoch
+//! launched from inside a pool worker runs inline on that worker. A
+//! panic in `f` is caught per node program; the lanes keep meeting their
+//! barriers, the caller re-raises the first payload, and the pool stays
+//! usable.
 //!
 //! Programs are cached in the sharded plan cache ([`crate::cache::fused`])
 //! next to the LHS node plans they walk, so single-flight builds and LRU
 //! eviction cover them for free; no schedule is cached for them. Each
-//! node program keeps its period tables and block splits in one arena.
+//! node program keeps its period tables, block splits and outbox layout
+//! in one arena; nothing an execution needs beyond them is kept on the
+//! program — outboxes and staging come from the lanes' buffer arenas.
 //! The fused path is selected by
 //! [`default_fused`] (`BCAG_FUSE=on|off`, default on) and keeps **bit-exact
 //! parity** with the interpreted path: every LHS element is computed from
@@ -69,11 +84,12 @@
 //! Under [`bcag_core::tune::TuneMode::Auto`] (the default) epochs whose
 //! working set spills L2 are **blocked** by ranges of the receiving
 //! node's ordinals: [`epoch_block_elems`] derives an L2-resident block
-//! size, every peer sends one message per non-empty block of the
-//! receiver, cut at element indices of the same table walks (sender and
-//! receiver share the split points from compile time, so no wire
-//! metadata is added), and the receiver moves, scatters and applies one
-//! block at a time through a block-sized staging buffer. The block size
+//! size, and each block is one round. Every peer sends one message per
+//! non-empty block of the receiver, cut at element indices of the same
+//! table walks (sender and receiver share the split points from compile
+//! time, so a message carries only values), and the receiver moves,
+//! scatters and applies one block at a time through a block-sized
+//! staging buffer. An unblocked epoch is a single round. The block size
 //! is part of the fused cache key, so `BCAG_TUNE` A/B flips never reuse
 //! programs compiled for the other regime.
 //!
@@ -84,10 +100,12 @@
 //!
 //! [`NodePlan::delta_m`]: crate::assign::NodePlan::delta_m
 
-use std::collections::VecDeque;
+use std::any::Any;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, RwLock, RwLockReadGuard};
+use std::time::Instant;
 
 use bcag_core::error::{BcagError, Result};
 use bcag_core::method::Method;
@@ -104,7 +122,7 @@ use crate::comm::wire::{self, PackValue};
 use crate::comm::{ExecMode, Transfer};
 use crate::darray::DistArray;
 use crate::pack::{self, PackMode};
-use crate::pool::{self, lock_clean, LaunchMode};
+use crate::pool::{self, into_clean, lock_clean, read_clean, write_clean, BufferArena, LaunchMode};
 use crate::transport::{self, TransportKind};
 
 /// Whether [`crate::statement::assign_expr`] routes statements through
@@ -197,14 +215,6 @@ pub fn epoch_block_elems<T: PackValue>(sec_a: &RegularSection) -> usize {
         ),
     }
 }
-
-/// Upper bound on the number of message blocks one directed (src, dst)
-/// pair may split into per epoch — half the shm fabric's per-pair SPSC
-/// ring capacity, so an epoch's entire blocked send phase fits in the
-/// ring and a send never has to wait for the peer (which is itself
-/// still sending) to drain it. [`compile`] widens a node's ordinal
-/// blocks past the L2 target rather than exceed this count.
-const MAX_BLOCKS_PER_PEER: usize = crate::transport::ring::RING_CAP / 2;
 
 /// Calls `f(q, j0, j1)` once for every period `q` of a period-`period`
 /// table that the element-index range `[lo, hi)` touches, with the slice
@@ -570,9 +580,12 @@ struct Part {
 /// per non-empty ordinal block of the receiver. The interpreted path
 /// exchanges operand by operand in separate epochs; the fused compiler
 /// sees the whole statement, so it merges them. Sender and receiver
-/// share the split points, so the wire carries only values.
+/// share the split points, so a message carries only values.
 struct PeerStream {
     peer: usize,
+    /// On an inbound stream, its index among the sender's outgoing
+    /// streams: where its message sits in the sender's outbox.
+    slot: usize,
     parts: Vec<Part>,
 }
 
@@ -673,6 +686,10 @@ struct NodeProgram {
     sends: Vec<SendPlan>,
     /// Expected inbound streams, one per source with traffic.
     recvs: Vec<PeerStream>,
+    /// Outbox layout, `sends.len() + 1` entries per round the node
+    /// sends in: the offset of each outgoing message from the start of
+    /// the node's messages that round, then their total length.
+    outbox: Span,
     /// Total outgoing transfers (all destinations, self included).
     moved: u64,
     /// Non-empty non-self destinations (messages really sent).
@@ -689,6 +706,43 @@ impl NodeProgram {
     /// Ordinal blocks of the epoch.
     fn blocks(&self) -> usize {
         self.count.div_ceil(self.block)
+    }
+
+    /// The outbox offsets of round `b` (see [`NodeProgram::outbox`]);
+    /// empty past the node's last sending round.
+    fn outbox_at(&self, b: usize) -> &[u32] {
+        let width = self.sends.len() + 1;
+        let offs = self.outbox.of(&self.tables);
+        offs.get(b * width..(b + 1) * width).unwrap_or(&[])
+    }
+
+    /// Charges the epoch's trace counters for this node. They were
+    /// folded at compile time: one emission per epoch instead of one per
+    /// (operand, destination), with identical totals. Transport bytes
+    /// are charged per *logical* (operand, peer) message at the
+    /// canonical run-encoded size (span headers included even though
+    /// fused messages carry no spans), so counts and totals match the
+    /// interpreted path on every backend.
+    fn charge<T>(&self) {
+        bcag_trace::count("elements_moved", self.moved);
+        bcag_trace::count("bytes_packed", self.moved * std::mem::size_of::<T>() as u64);
+        if self.msgs > 0 {
+            bcag_trace::count("messages_sent", self.msgs);
+            bcag_trace::count("elements_nonlocal", self.nonlocal);
+        }
+        bcag_core::runs::count_coalesced(self.seg_count, self.seg_elems);
+        if bcag_trace::enabled() {
+            for send in &self.sends {
+                for tx in send.stream.parts.iter().map(|p| p.charge) {
+                    bcag_trace::count("transport_bytes_tx", tx);
+                    bcag_trace::record("msg_bytes", tx);
+                    bcag_trace::record(send.key, tx);
+                }
+            }
+            for rx in self.recvs.iter().flat_map(|r| &r.parts).map(|p| p.charge) {
+                bcag_trace::count("transport_bytes_rx", rx);
+            }
+        }
     }
 
     /// Writes to `out` the element indices at which this node's ordinal
@@ -732,51 +786,6 @@ impl NodeProgram {
     }
 }
 
-/// In-memory fused message: the receiver routes by source node — the
-/// payload layout is already compiled into its [`PeerStream`].
-struct FusedMsg<T> {
-    src: u32,
-    vals: Vec<T>,
-}
-
-/// Bytes of the source-node routing tag appended to wire-encoded fused
-/// messages.
-const WIRE_TAG_BYTES: usize = 4;
-
-/// Receives the next inbound fused message: its source node and values.
-/// Waiting time is added to `wait_ns` and recorded when tracing.
-fn recv_msg<T: PackValue>(
-    ctx: &mut pool::NodeCtx,
-    use_wire: bool,
-    wait_ns: &mut u64,
-) -> (usize, Vec<T>) {
-    let t0 = bcag_trace::enabled().then(std::time::Instant::now);
-    let env = ctx.recv();
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        *wait_ns += ns;
-        bcag_trace::record("recv_wait_ns", ns);
-    }
-    if use_wire {
-        let mut bytes = *env
-            .downcast::<Vec<u8>>()
-            .expect("fused wire message payload type");
-        let tag_at = bytes.len() - WIRE_TAG_BYTES;
-        let src = u32::from_le_bytes(bytes[tag_at..].try_into().expect("4 bytes")) as usize;
-        bytes.truncate(tag_at);
-        let mut spans: Vec<wire::RunSpan> = ctx.take_buf();
-        let mut vals: Vec<T> = ctx.take_buf();
-        wire::decode_into(&bytes, &mut spans, &mut vals);
-        ctx.put_buf(spans);
-        (src, vals)
-    } else {
-        let msg = *env
-            .downcast::<FusedMsg<T>>()
-            .expect("fused message payload type");
-        (msg.src as usize, msg.vals)
-    }
-}
-
 /// A whole statement `A(sec_a) = f(B₀(sec₀), …)` compiled to per-node
 /// epochs: built once per statement shape by [`compile`], cached in the
 /// sharded plan cache, executed many times by [`FusedStatement::execute`].
@@ -787,6 +796,9 @@ pub struct FusedStatement<T: PackValue> {
     /// Whether any node's epoch is L2-blocked (more than one ordinal
     /// block).
     blocked: bool,
+    /// Block rounds of an epoch that exchanges messages (the most
+    /// ordinal blocks of any node); zero when no node sends anything.
+    rounds: usize,
     _elem: PhantomData<fn() -> T>,
 }
 
@@ -881,10 +893,11 @@ impl<T: PackValue> FusedStatement<T> {
             .collect()
     }
 
-    /// Runs the fused epoch: one pool dispatch executes pack → send →
-    /// recv → unpack → apply for the whole statement. `operands` must be
-    /// the arrays the program was compiled for, in compile order (same
-    /// `p`, `k`, and sections); contents are free to vary.
+    /// Runs the fused epoch on `min(p, hardware threads)` lanes (see
+    /// [`Epoch`]). `operands` must be the arrays the program was
+    /// compiled for, in compile order (same `p`, `k`, and sections);
+    /// contents are free to vary. A panic in `f` fails the statement
+    /// after every lane has finished, and leaves the pool usable.
     pub fn execute<F>(
         &self,
         a: &mut DistArray<T>,
@@ -892,6 +905,23 @@ impl<T: PackValue> FusedStatement<T> {
         f: F,
         launch: LaunchMode,
         kind: TransportKind,
+    ) where
+        F: Fn(&[T]) -> T + Sync,
+    {
+        let lanes = pool::lanes_for(self.nodes.len());
+        self.execute_on(a, operands, f, launch, kind, lanes);
+    }
+
+    /// [`FusedStatement::execute`] on an explicit number of lanes
+    /// (clamped to `1..=p`).
+    fn execute_on<F>(
+        &self,
+        a: &mut DistArray<T>,
+        operands: &[&DistArray<T>],
+        f: F,
+        launch: LaunchMode,
+        kind: TransportKind,
+        lanes: usize,
     ) where
         F: Fn(&[T]) -> T + Sync,
     {
@@ -908,143 +938,246 @@ impl<T: PackValue> FusedStatement<T> {
         if self.blocked && bcag_trace::enabled() {
             bcag_trace::count("tune_decision_blocked", 1);
         }
-        let nops = self.nops;
-        let slots: Vec<Mutex<&mut Vec<T>>> = a.locals_mut().iter_mut().map(Mutex::new).collect();
-        pool::launch_with(self.p, launch, kind, |me, ctx| {
-            let _sp = bcag_trace::span("fuse.epoch.node");
-            let prog = &self.nodes[me];
-            let use_wire = ctx.serializes() && T::WIRE_BYTES.is_some();
-            let mut slot = lock_clean(&slots[me]);
-            let local_a: &mut Vec<T> = &mut slot;
-            let local = |op: usize| operands[op].local(me as i64);
-            // Counter totals were folded at compile time: one emission
-            // per epoch instead of one per (operand, destination), with
-            // identical totals. Transport bytes are charged per
-            // *logical* (operand, peer) message at the canonical
-            // run-encoded size (span headers included even though fused
-            // messages carry no spans), so counts and totals match the
-            // interpreted path on every backend.
-            bcag_trace::count("elements_moved", prog.moved);
-            bcag_trace::count("bytes_packed", prog.moved * std::mem::size_of::<T>() as u64);
-            if prog.msgs > 0 {
-                bcag_trace::count("messages_sent", prog.msgs);
-                bcag_trace::count("elements_nonlocal", prog.nonlocal);
-            }
-            bcag_core::runs::count_coalesced(prog.seg_count, prog.seg_elems);
-            if bcag_trace::enabled() {
-                for send in &prog.sends {
-                    for tx in send.stream.parts.iter().map(|p| p.charge) {
-                        bcag_trace::count("transport_bytes_tx", tx);
-                        bcag_trace::record("msg_bytes", tx);
-                        bcag_trace::record(send.key, tx);
-                    }
+        let p = self.nodes.len();
+        let lanes = lanes.clamp(1, p);
+        let epoch = Epoch::new(self, a, operands, &f, lanes);
+        pool::launch_lanes(p, lanes, launch, kind, &|lane, arena| {
+            epoch.lane(lane, arena)
+        });
+        if let Some(payload) = into_clean(epoch.panic) {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// One execution of a [`FusedStatement`]: the state its lanes share,
+/// built per call and dropped with it.
+///
+/// The epoch runs in block rounds: round `b` moves ordinal block `b` of
+/// every receiver, in two phases split by lane barriers. In the gather
+/// phase every node appends its block-`b` messages to the outbox of the
+/// lane that claimed it; in the apply phase every node runs its block
+/// `b` — same-node moves, scatters from its senders' messages, apply.
+/// Nodes are claimed one at a time within a phase, so the `p` node
+/// programs run on however many lanes there are, and no receive ever
+/// waits. The barrier after an apply phase frees the outboxes for the
+/// next round, so at most one block per `(src, dst)` pair is in flight;
+/// after the last round it lets every lane shelve its outbox in its own
+/// arena. An epoch without messages needs no rounds: each claimed node
+/// runs all its blocks in one phase.
+struct Epoch<'a, T: PackValue, F> {
+    prog: &'a FusedStatement<T>,
+    lhs: Vec<Mutex<&'a mut Vec<T>>>,
+    operands: &'a [&'a DistArray<T>],
+    f: &'a F,
+    /// Per lane, every message it gathered this round, node after node.
+    outboxes: Vec<RwLock<Vec<T>>>,
+    /// Per node, where its messages of this round start: the lane (high
+    /// 16 bits) and the offset in that lane's outbox. Stored and loaded
+    /// `Relaxed`: the barrier between the gather phase and the apply
+    /// phase orders them, as it orders the outbox contents.
+    placed: Vec<AtomicU64>,
+    /// Per phase, the next node to claim (`Relaxed`: a claim publishes
+    /// no data).
+    claims: Vec<AtomicUsize>,
+    barrier: Barrier,
+    /// The first panic caught in a node program; later node programs
+    /// are skipped once one is caught, but every lane keeps meeting the
+    /// barriers.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Whether `panic` holds a payload (`Relaxed`: only a hint to skip
+    /// work; the payload itself travels through the mutex).
+    failed: AtomicBool,
+}
+
+/// Bits of [`Epoch::placed`] holding the outbox offset.
+const PLACED_BITS: u32 = 48;
+
+impl<'a, T: PackValue, F: Fn(&[T]) -> T + Sync> Epoch<'a, T, F> {
+    fn new(
+        prog: &'a FusedStatement<T>,
+        a: &'a mut DistArray<T>,
+        operands: &'a [&'a DistArray<T>],
+        f: &'a F,
+        lanes: usize,
+    ) -> Self {
+        let phases = (2 * prog.rounds).max(1);
+        Epoch {
+            prog,
+            lhs: a.locals_mut().iter_mut().map(Mutex::new).collect(),
+            operands,
+            f,
+            outboxes: (0..lanes).map(|_| RwLock::new(Vec::new())).collect(),
+            placed: prog.nodes.iter().map(|_| AtomicU64::new(0)).collect(),
+            claims: (0..phases).map(|_| AtomicUsize::new(0)).collect(),
+            barrier: Barrier::new(lanes),
+            panic: Mutex::new(None),
+            failed: AtomicBool::new(false),
+        }
+    }
+
+    /// Lane `lane`'s run through every phase: with messages, phase `2b`
+    /// gathers round `b` and phase `2b + 1` applies it.
+    fn lane(&self, lane: usize, arena: &mut BufferArena) {
+        let _sp = bcag_trace::span("fuse.epoch.lane");
+        let exchanges = self.prog.rounds > 0;
+        let mut staging: Vec<T> = arena.take();
+        let mut waited = 0u64;
+        for phase in 0..self.claims.len() {
+            let gathering = exchanges && phase % 2 == 0;
+            // The lane's wait for the slowest lane to finish gathering:
+            // what every message it consumes in this phase waited.
+            let mut wait_ns = 0;
+            if phase > 0 {
+                let t0 = bcag_trace::enabled().then(Instant::now);
+                self.barrier.wait();
+                if !gathering {
+                    wait_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+                    waited += wait_ns;
                 }
-                for rx in prog.recvs.iter().flat_map(|r| &r.parts).map(|p| p.charge) {
-                    bcag_trace::count("transport_bytes_rx", rx);
+            }
+            // An apply phase reads every lane's outbox; a gather phase
+            // refills this lane's own.
+            let inbox: Vec<_> = match exchanges && !gathering {
+                true => self.outboxes.iter().map(read_clean).collect(),
+                false => Vec::new(),
+            };
+            let mut out = gathering.then(|| {
+                let mut out = write_clean(&self.outboxes[lane]);
+                if out.capacity() == 0 {
+                    *out = arena.take();
+                }
+                out.clear();
+                out
+            });
+            loop {
+                let m = self.claims[phase].fetch_add(1, Ordering::Relaxed);
+                if m >= self.prog.nodes.len() {
+                    break;
+                }
+                if self.failed.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let run = || {
+                    // Node `m`'s counters and spans land on its own lane,
+                    // whichever lane runs it.
+                    let _node =
+                        bcag_trace::enabled().then(|| bcag_trace::enter_lane(&format!("node-{m}")));
+                    let _sp = bcag_trace::span("fuse.epoch.node");
+                    let node = &self.prog.nodes[m];
+                    if phase == 0 {
+                        node.charge::<T>();
+                    }
+                    let b = phase / 2;
+                    if let Some(out) = out.as_deref_mut() {
+                        self.gather(m, b, lane, out);
+                    } else if !exchanges {
+                        for b in 0..node.blocks() {
+                            self.run_block(m, b, 0, &inbox, &mut staging);
+                        }
+                    } else if b < node.blocks() {
+                        self.run_block(m, b, wait_ns, &inbox, &mut staging);
+                    }
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+                    self.failed.store(true, Ordering::Relaxed);
+                    lock_clean(&self.panic).get_or_insert(payload);
                 }
             }
-            // Send phase: one physical message per peer per non-empty
-            // ordinal block of that peer, every operand's traffic packed
-            // back to back in operand order, block by block across peers
-            // so every receiver can start on its first block early.
-            let tables = &prog.tables;
-            let rounds = prog.sends.iter().map(|s| s.stream.blocks()).max();
-            for b in 0..rounds.unwrap_or(0) {
-                for send in &prog.sends {
-                    let stream = &send.stream;
-                    let len = if b < stream.blocks() {
-                        stream.block_len(tables, b)
-                    } else {
-                        0
-                    };
-                    if len == 0 {
-                        continue;
-                    }
-                    let mut vals: Vec<T> = ctx.take_buf();
-                    vals.reserve(len);
-                    for part in &stream.parts {
-                        let (lo, hi) = part.splits.block(tables, b);
-                        part.walk.gather(tables, &mut vals, local(part.op), lo, hi);
-                    }
-                    if use_wire {
-                        let mut bytes = wire::encode::<T>(&[], &vals);
-                        bytes.extend_from_slice(&(me as u32).to_le_bytes());
-                        ctx.send(stream.peer, Box::new(bytes));
-                        ctx.put_buf(vals);
-                    } else {
-                        ctx.send(
-                            stream.peer,
-                            Box::new(FusedMsg {
-                                src: me as u32,
-                                vals,
-                            }),
-                        );
-                    }
+        }
+        if exchanges {
+            // Once every lane is past its last read, each outbox goes
+            // back to the arena of the lane that filled it.
+            self.barrier.wait();
+            arena.put(std::mem::take(&mut *write_clean(&self.outboxes[lane])));
+            bcag_trace::count("recv_wait_ns", waited);
+        }
+        arena.put(staging);
+    }
+
+    /// Appends node `m`'s round-`b` messages to lane `lane`'s outbox
+    /// `out`: one per peer with traffic in the peer's block `b`, every
+    /// operand's part back to back in operand order.
+    fn gather(&self, m: usize, b: usize, lane: usize, out: &mut Vec<T>) {
+        let node = &self.prog.nodes[m];
+        let Some(&total) = node.outbox_at(b).last() else {
+            return;
+        };
+        if total == 0 {
+            return;
+        }
+        let tables = &node.tables;
+        let start = out.len();
+        out.reserve(total as usize);
+        for send in node.sends.iter().map(|s| &s.stream) {
+            if b < send.blocks() {
+                for part in &send.parts {
+                    let (lo, hi) = part.splits.block(tables, b);
+                    part.walk
+                        .gather(tables, out, self.operand(part.op, m), lo, hi);
                 }
             }
-            // Block phase, one ordinal block at a time: same-node moves
-            // and inbound messages fill the block's staging slots — each
-            // exactly once — then the owner-computes loop walks the
-            // node's access sequence over the block, reading each
-            // element's arguments as one slice of the staging buffer.
-            // Messages arrive in block order per source (per-producer
-            // FIFO) but interleaved across sources; a message for a later
-            // block waits in its source's queue.
-            let mut staging: Vec<T> = ctx.take_buf();
-            if nops > 0 && prog.count > 0 {
-                let slots = prog.block.min(prog.count) * nops;
-                staging.resize(slots, local_a[prog.lhs.base].clone());
+        }
+        let placed = (lane as u64) << PLACED_BITS | start as u64;
+        self.placed[m].store(placed, Ordering::Relaxed);
+    }
+
+    /// Node `m`'s local memory of operand `op`.
+    fn operand(&self, op: usize, m: usize) -> &'a [T] {
+        self.operands[op].local(m as i64)
+    }
+
+    /// Node `m`'s ordinal block `b`: same-node moves and inbound
+    /// messages fill the block's staging slots — each exactly once —
+    /// then the owner-computes loop walks the node's access sequence
+    /// over the block, reading each element's arguments as one slice of
+    /// the staging buffer.
+    fn run_block(
+        &self,
+        m: usize,
+        b: usize,
+        wait_ns: u64,
+        inbox: &[RwLockReadGuard<'_, Vec<T>>],
+        staging: &mut Vec<T>,
+    ) {
+        let (prog, node) = (self.prog, &self.prog.nodes[m]);
+        let (nops, tables) = (prog.nops, &node.tables);
+        let lo = b * node.block;
+        let hi = node.count.min(lo + node.block);
+        let origin = lo * nops;
+        let mut lhs = lock_clean(&self.lhs[m]);
+        let need = (hi - lo) * nops;
+        if staging.len() < need {
+            let fill = lhs[node.lhs.base].clone();
+            staging.resize(need, fill);
+        }
+        for mv in &node.moves {
+            let range = mv.splits.block(tables, b);
+            mv.run(tables, staging, self.operand(mv.op, m), range, origin);
+        }
+        for stream in &node.recvs {
+            if stream.block_len(tables, b) == 0 {
+                continue;
             }
-            let mut pending: Vec<VecDeque<Vec<T>>> =
-                prog.recvs.iter().map(|_| VecDeque::new()).collect();
-            let mut wait_ns = 0u64;
-            for b in 0..prog.blocks() {
-                let lo = b * prog.block;
-                let hi = prog.count.min(lo + prog.block);
-                let origin = lo * nops;
-                for mv in &prog.moves {
-                    let range = mv.splits.block(tables, b);
-                    mv.run(tables, &mut staging, local(mv.op), range, origin);
-                }
-                for (ri, stream) in prog.recvs.iter().enumerate() {
-                    if stream.block_len(tables, b) == 0 {
-                        continue;
-                    }
-                    let vals = match pending[ri].pop_front() {
-                        Some(vals) => vals,
-                        None => loop {
-                            let (src, vals) = recv_msg::<T>(ctx, use_wire, &mut wait_ns);
-                            let at = prog
-                                .recvs
-                                .iter()
-                                .position(|r| r.peer == src)
-                                .expect("inbound message matches a compiled recv plan");
-                            if at == ri {
-                                break vals;
-                            }
-                            pending[at].push_back(vals);
-                        },
-                    };
-                    let mut off = 0usize;
-                    for part in &stream.parts {
-                        let (from, to) = part.splits.block(tables, b);
-                        let now = &vals[off..off + to - from];
-                        part.walk
-                            .scatter(tables, &mut staging, now, (from, to), origin);
-                        off += to - from;
-                    }
-                    ctx.put_buf(vals);
-                }
-                let mut at = 0usize;
-                prog.lhs.periods(tables, lo, hi, |base, offs| {
-                    for &o in offs {
-                        local_a[base + o as usize] = f(&staging[at..at + nops]);
-                        at += nops;
-                    }
-                });
+            let src = stream.peer;
+            let placed = self.placed[src].load(Ordering::Relaxed);
+            let vals = &inbox[(placed >> PLACED_BITS) as usize];
+            let start = (placed & ((1 << PLACED_BITS) - 1)) as usize;
+            let mut off = start + prog.nodes[src].outbox_at(b)[stream.slot] as usize;
+            for part in &stream.parts {
+                let (from, to) = part.splits.block(tables, b);
+                let now = &vals[off..off + to - from];
+                part.walk.scatter(tables, staging, now, (from, to), origin);
+                off += to - from;
             }
-            bcag_trace::count("recv_wait_ns", wait_ns);
-            ctx.put_buf(staging);
+            bcag_trace::record("recv_wait_ns", wait_ns);
+        }
+        let mut at = 0usize;
+        node.lhs.periods(tables, lo, hi, |base, offs| {
+            for &o in offs {
+                lhs[base + o as usize] = (self.f)(&staging[at..at + nops]);
+                at += nops;
+            }
         });
     }
 }
@@ -1061,6 +1194,24 @@ fn live_streams(streams: impl Iterator<Item = PeerStream>) -> Vec<PeerStream> {
         .collect();
     live.shrink_to_fit();
     live
+}
+
+/// Appends `node`'s outbox layout (see [`NodeProgram::outbox`]) to its
+/// arena: per round, the prefix sums of its outgoing messages' lengths.
+fn outbox_layout(node: &mut NodeProgram) -> Result<Span> {
+    let rounds = node.sends.iter().map(|s| s.stream.blocks()).max();
+    let mut offs = Vec::new();
+    for b in 0..rounds.unwrap_or(0) {
+        let mut at = 0usize;
+        offs.push(0);
+        for send in node.sends.iter().map(|s| &s.stream) {
+            if b < send.blocks() {
+                at += send.block_len(&node.tables, b);
+            }
+            offs.push(offset(at)?);
+        }
+    }
+    Ok(Span::push(&mut node.tables, &offs))
 }
 
 /// Compiles the statement shape `A(sec_a) = f(ops…)` on a `(p, k_a)` LHS
@@ -1088,21 +1239,8 @@ pub fn compile<T: PackValue>(
     let plans = cache::plans(p, k_a, sec_a, Method::Lattice)?;
     let pu = p as usize;
     let nops = ops.len();
-    // Ordinal block size of a node owning `count` elements. A peer sends
-    // one message per block, so blocks widen past the L2 target rather
-    // than exceed [`MAX_BLOCKS_PER_PEER`] per pair: the epoch protocol
-    // sends every block before receiving any, so on the shm fabric's
-    // fixed-capacity SPSC rings an unbounded block count could leave two
-    // peers spinning on mutually full rings. Keeping the per-pair
-    // envelope count under the ring capacity means a send can never
-    // block, whatever the transfer size.
-    let block_of = |count: usize| {
-        if block == 0 || count == 0 {
-            count.max(1)
-        } else {
-            block.max(count.div_ceil(MAX_BLOCKS_PER_PEER))
-        }
-    };
+    // Ordinal block size of a node owning `count` elements.
+    let block_of = |count: usize| if block == 0 { count.max(1) } else { block };
     let mut nodes = Vec::with_capacity(pu);
     for plan in plans.iter() {
         let mut tables = Vec::new();
@@ -1115,6 +1253,7 @@ pub fn compile<T: PackValue>(
             moves: Vec::new(),
             sends: Vec::new(),
             recvs: Vec::new(),
+            outbox: Span { at: 0, len: 0 },
             moved: 0,
             msgs: 0,
             nonlocal: 0,
@@ -1125,6 +1264,7 @@ pub fn compile<T: PackValue>(
     // Streams indexed `from * p + to`, outgoing and inbound.
     let stream = |i: usize| PeerStream {
         peer: i % pu,
+        slot: 0,
         parts: Vec::new(),
     };
     let mut outs: Vec<PeerStream> = (0..pu * pu).map(stream).collect();
@@ -1207,10 +1347,29 @@ pub fn compile<T: PackValue>(
             })
             .collect();
         node.recvs = live_streams(ins.by_ref().take(pu));
+    }
+    // Sends are in peer order, so a receiver finds its slot in each
+    // sender's outbox by binary search.
+    for dst in 0..pu {
+        for r in 0..nodes[dst].recvs.len() {
+            let src = nodes[dst].recvs[r].peer;
+            nodes[dst].recvs[r].slot = nodes[src]
+                .sends
+                .binary_search_by_key(&dst, |s| s.stream.peer)
+                .expect("every inbound stream has a sender");
+        }
+    }
+    for node in nodes.iter_mut() {
+        node.outbox = outbox_layout(node)?;
         node.moves.shrink_to_fit();
         node.tables.shrink_to_fit();
     }
     let blocked = nodes.iter().any(|n| n.blocks() > 1);
+    let rounds = if nodes.iter().any(|n| !n.sends.is_empty()) {
+        nodes.iter().map(NodeProgram::blocks).max().unwrap_or(0)
+    } else {
+        0
+    };
     if bcag_trace::enabled() {
         let entries: usize = nodes.iter().map(NodeProgram::table_entries).sum();
         bcag_trace::count("fuse_programs", 1);
@@ -1221,6 +1380,7 @@ pub fn compile<T: PackValue>(
         nops,
         nodes,
         blocked,
+        rounds,
         _elem: PhantomData,
     })
 }
@@ -1624,44 +1784,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_sends_are_ring_safe() {
-        // A pair transfer far larger than the shm ring capacity at
-        // block=1: the per-pair clamp must widen blocks so the whole
-        // send phase fits in the ring — without it, two peers both
-        // stuck in their send phase on mutually full rings would
-        // deadlock before either reached its receive loop.
-        let n = 4000i64;
-        let bg: Vec<i64> = (0..n).collect();
-        let b = DistArray::from_global(2, 4, &bg).unwrap();
-        let sec = RegularSection::new(0, n - 1, 1).unwrap();
-        let ops = vec![(b.k(), sec)];
-        let prog =
-            compile::<i64>(2, 16, &sec, &ops, ExecMode::Batched, TransportKind::Shm, 1).unwrap();
-        for node in &prog.nodes {
-            for send in &node.sends {
-                let blocks = send.stream.messages(&node.tables);
-                assert!(blocks > 1, "the transfer must still chunk");
-                assert!(
-                    blocks <= MAX_BLOCKS_PER_PEER,
-                    "per-pair envelope count must stay under the ring capacity, got {blocks}"
-                );
-            }
-        }
-        let mut a = DistArray::new(2, 16, n, 0i64).unwrap();
-        prog.execute(
-            &mut a,
-            &[&b],
-            |v| v[0] + 1,
-            pool::default_launch(),
-            TransportKind::Shm,
-        );
-        let got = a.to_global();
-        for i in 0..n as usize {
-            assert_eq!(got[i], i as i64 + 1, "i={i}");
-        }
-    }
-
-    #[test]
     fn blocked_local_epochs_match_unblocked() {
         // Same layout on both sides: every transfer is a self-move, so
         // blocking takes the local-epoch range path.
@@ -1729,6 +1851,95 @@ mod tests {
             a.to_global()
         };
         assert_eq!(fill(0), fill(32));
+    }
+
+    /// Random statement shapes, blocked and unblocked, run on 1, 2, 3
+    /// and `p` lanes, bit for bit against a sequential reference: the
+    /// result must not depend on how many lanes run the node programs.
+    #[test]
+    fn lane_counts_match_sequential_reference() {
+        let mut rng = bcag_harness::Rng::seed_from_u64(0x1a9e5);
+        let mut seen = [false; 3];
+        for trial in 0..48 {
+            // The paper's machine every third shape; otherwise a small
+            // one, sometimes with no operands at all.
+            let (p, k_max, count, nops) = if trial % 3 == 0 {
+                (32, 512, rng.random_range(1..=400), rng.random_range(1..=2))
+            } else {
+                (
+                    rng.random_range(1..=5),
+                    10,
+                    rng.random_range(1..=300),
+                    rng.random_range(0..=3),
+                )
+            };
+            let sec = |rng: &mut bcag_harness::Rng| {
+                let (l, s) = (rng.random_range(0..=13), rng.random_range(1..=6));
+                RegularSection::new(l, l + (count - 1) * s, s).unwrap()
+            };
+            let sec_a = sec(&mut rng);
+            let ops: Vec<(i64, RegularSection)> = (0..nops)
+                .map(|_| (rng.random_range(1..=k_max), sec(&mut rng)))
+                .collect();
+            let k_a = rng.random_range(1..=k_max);
+            let n = ops.iter().map(|(_, s)| s.u).fold(sec_a.u, i64::max) + 4;
+            let value = |i: i64, j: usize| (i * 7 + 13 * j as i64) % 113 - 50;
+            let f = |args: &[i64]| {
+                args.iter()
+                    .enumerate()
+                    .fold(5i64, |acc, (j, v)| acc * 3 + v * (j as i64 + 1))
+            };
+            let globals: Vec<Vec<i64>> = (0..=nops as usize)
+                .map(|j| (0..n).map(|i| value(i, j)).collect())
+                .collect();
+            let arrays: Vec<DistArray<i64>> = ops
+                .iter()
+                .zip(&globals[1..])
+                .map(|((k, _), g)| DistArray::from_global(p, *k, g).unwrap())
+                .collect();
+            let refs: Vec<&DistArray<i64>> = arrays.iter().collect();
+            let mut want = globals[0].clone();
+            for t in 0..count {
+                let args: Vec<i64> = ops
+                    .iter()
+                    .zip(&globals[1..])
+                    .map(|((_, s), g)| g[(s.l + t * s.s) as usize])
+                    .collect();
+                want[(sec_a.l + t * sec_a.s) as usize] = f(&args);
+            }
+            let block = *rng.choice(&[0usize, 1, 5, 17]);
+            let prog = compile::<i64>(
+                p,
+                k_a,
+                &sec_a,
+                &ops,
+                ExecMode::Batched,
+                TransportKind::Mpsc,
+                block,
+            )
+            .unwrap();
+            seen[0] |= prog.blocked();
+            seen[1] |= !prog.blocked() && prog.rounds > 0;
+            seen[2] |= nops == 0;
+            let launch = if trial % 4 == 3 {
+                LaunchMode::Scoped
+            } else {
+                LaunchMode::Pooled
+            };
+            for lanes in [1, 2, 3, p as usize] {
+                let mut a = DistArray::from_global(p, k_a, &globals[0]).unwrap();
+                prog.execute_on(&mut a, &refs, f, launch, TransportKind::Mpsc, lanes);
+                assert_eq!(
+                    a.to_global(),
+                    want,
+                    "p={p} k_a={k_a} {sec_a:?} ops={ops:?} block={block} lanes={lanes}"
+                );
+            }
+        }
+        assert_eq!(
+            seen, [true; 3],
+            "blocked, unblocked and zero-operand shapes"
+        );
     }
 
     #[test]

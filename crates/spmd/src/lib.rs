@@ -39,9 +39,9 @@
 //! * [`statement`] — whole array statements `A(secA) = f(B(secB), ...)`
 //!   (gather + owner-computes) and block-size redistribution;
 //! * [`fuse`] — the plan compiler behind those statements: compiles a
-//!   whole statement shape into one fused per-node epoch (pack→send→
-//!   recv→unpack→apply, gap-specialized kernels, a single pool
-//!   dispatch), cached next to the schedules and A/B-selectable with
+//!   whole statement shape into per-node period tables (gather, move,
+//!   scatter, apply) run as block rounds on `min(p, cores)` lanes of one
+//!   pool dispatch, cached next to the schedules and A/B-selectable with
 //!   `BCAG_FUSE=on|off`;
 //! * [`pack`] — message vectorization: pack/unpack a node's share of a
 //!   section into contiguous buffers, run-coalesced into slice copies by

@@ -239,6 +239,11 @@ impl NodeCtx {
         }
     }
 
+    /// This node's buffer arena.
+    pub(crate) fn arena(&mut self) -> &mut BufferArena {
+        &mut self.arena
+    }
+
     /// Takes a recycled buffer from this node's arena.
     pub fn take_buf<T: Send + 'static>(&mut self) -> Vec<T> {
         self.arena.take()
@@ -448,6 +453,17 @@ impl Pool {
     /// finished (one epoch). If any node job panicked, drains the fabric
     /// and re-raises the first panic; the pool remains usable.
     pub fn dispatch(&self, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) {
+        self.dispatch_lanes(self.p, body)
+    }
+
+    /// [`Pool::dispatch`] on the first `lanes` workers only: `body(m,
+    /// ctx)` runs for `m < lanes`. The other workers stay parked, and
+    /// the epoch still holds the whole pool's gate.
+    pub(crate) fn dispatch_lanes(&self, lanes: usize, body: &(dyn Fn(usize, &mut NodeCtx) + Sync)) {
+        assert!(
+            (1..=self.p).contains(&lanes),
+            "a dispatch runs on 1..=p workers"
+        );
         use std::sync::atomic::{AtomicU64, Ordering};
         static INFLIGHT: AtomicU64 = AtomicU64::new(0);
         /// Decrements the in-flight depth and samples the gauge on the way
@@ -470,19 +486,20 @@ impl Pool {
         });
         self.touch();
         let _gate = lock_clean(&self.gate);
-        if let Some(payload) = self.run_epoch(body) {
+        if let Some(payload) = self.run_epoch(lanes, body) {
             // Jobs stopped mid-protocol: stray data and poison envelopes
             // may still sit in inboxes. Scrub before releasing the gate
             // so the next dispatch starts clean.
-            let _ = self.run_epoch(&|_, ctx| ctx.drain_inbox());
+            let _ = self.run_epoch(self.p, &|_, ctx| ctx.drain_inbox());
             resume_unwind(payload);
         }
     }
 
-    /// Ships one job per worker and waits out the epoch, returning the
-    /// first panic payload if any job panicked.
+    /// Ships one job to each of the first `lanes` workers and waits out
+    /// the epoch, returning the first panic payload if any job panicked.
     fn run_epoch(
         &self,
+        lanes: usize,
         body: &(dyn Fn(usize, &mut NodeCtx) + Sync),
     ) -> Option<Box<dyn Any + Send>> {
         // SAFETY (lifetime erasure): a plain `as` cast cannot widen the
@@ -501,7 +518,7 @@ impl Pool {
             ack_rx,
             outstanding: 0,
         };
-        for (m, worker) in self.workers.iter().enumerate() {
+        for (m, worker) in self.workers.iter().take(lanes).enumerate() {
             let ack = ack_tx.clone();
             let job: Job = Box::new(move |ctx| {
                 // Capture the whole `BodyPtr` (which is `Send`), not the
@@ -543,10 +560,7 @@ static POOL_TICK: AtomicU64 = AtomicU64::new(0);
 fn parse_max_pools(var: Option<&str>) -> usize {
     match var.and_then(|s| s.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2),
+        _ => host_threads().max(2),
     }
 }
 
@@ -718,6 +732,70 @@ where
         LaunchMode::Pooled if !in_worker() => global_with(p, kind).dispatch(&body),
         _ => launch_scoped(p as usize, kind, &body),
     }
+}
+
+/// Hardware threads of the host, read once.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Whether the caller is itself a pool worker or a multi-process node,
+/// where launches must not dispatch to a pool.
+fn nested() -> bool {
+    in_worker() || transport::proc::active().is_some()
+}
+
+/// How many lanes [`launch_lanes`] should run a `p`-node epoch on: one
+/// per hardware thread, at most `p` — and one, inline on the caller,
+/// when the caller is itself a pool worker or a multi-process node.
+pub(crate) fn lanes_for(p: usize) -> usize {
+    if nested() {
+        1
+    } else {
+        p.min(host_threads())
+    }
+}
+
+/// Runs `body(lane, arena)` on `lanes` concurrent lanes of a `p`-node
+/// machine and blocks until all finish; the body decides which node
+/// programs each lane runs. `Pooled` dispatches to the first `lanes`
+/// workers of the `(p, kind)` resident pool, so the lanes use those
+/// workers' buffer arenas and no pool of another size boots. A single
+/// lane requested from inside a pool worker or a multi-process node
+/// runs inline on the caller; anything else that cannot use the pool
+/// spawns `lanes` scoped threads with fresh arenas. The body must not
+/// panic: lanes meet at barriers the body owns, so it has to catch its
+/// own panics and keep arriving.
+pub(crate) fn launch_lanes(
+    p: usize,
+    lanes: usize,
+    mode: LaunchMode,
+    kind: TransportKind,
+    body: &(dyn Fn(usize, &mut BufferArena) + Sync),
+) {
+    assert!((1..=p).contains(&lanes), "an epoch runs on 1..=p lanes");
+    let nested = nested();
+    if lanes == 1 && nested {
+        return body(0, &mut BufferArena::default());
+    }
+    if mode == LaunchMode::Pooled && !nested {
+        return global_with(p as i64, kind)
+            .dispatch_lanes(lanes, &|lane, ctx| body(lane, ctx.arena()));
+    }
+    std::thread::scope(|scope| {
+        for lane in 0..lanes {
+            scope.spawn(move || {
+                let _lane = bcag_trace::enabled()
+                    .then(|| bcag_trace::set_lane_label(&format!("node-{lane}")));
+                body(lane, &mut BufferArena::default());
+            });
+        }
+    });
 }
 
 /// The historical launch path: fresh threads, fresh fabric, fresh

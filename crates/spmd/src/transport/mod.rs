@@ -25,6 +25,13 @@
 //! Selection: [`crate::Machine::with_transport`] per machine, or the
 //! process-wide default from the `BCAG_TRANSPORT={mpsc,shm,proc}` env
 //! var for A/B runs.
+//!
+//! Fused statement epochs ([`crate::fuse`]) do not use the fabric: their
+//! sends and receives are known at compile time, so lanes exchange
+//! blocks through per-epoch outboxes between barriers. The transport
+//! kind still selects the `(p, kind)` pool they run on. The fabric
+//! carries the interpreted statement path, `redistribute`, schedule
+//! execution and multi-process sessions.
 
 pub mod proc;
 pub mod ring;

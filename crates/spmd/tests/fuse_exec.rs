@@ -253,6 +253,148 @@ fn panic_poison_recovers_through_a_fused_epoch() {
                 kind.name()
             );
         }
+        late_round_panic_recovers(kind);
+    }
+}
+
+/// A blocked p = 32 epoch whose panic comes in its last block round.
+/// On hosts with fewer than 32 hardware threads the 32 node programs
+/// share fewer lanes; the lanes that caught nothing must keep meeting
+/// the round barriers, the original payload must reach the caller, and
+/// the pool must run the next epoch correctly.
+fn late_round_panic_recovers(kind: TransportKind) {
+    let (p, n) = (32i64, 4096i64);
+    let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let sec = RegularSection::new(0, n - 1, 1).unwrap();
+    let src = DistArray::from_global(p, 3, &data).unwrap();
+    // Each node owns 128 LHS elements: 8 rounds of 16.
+    let prog = fuse::compile::<f64>(p, 8, &sec, &[(3, sec)], ExecMode::Batched, kind, 16).unwrap();
+    assert!(prog.blocked());
+    let last = (n - 1) as f64;
+    let mut dst = DistArray::new(p, 8, n, 0.0f64).unwrap();
+    let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        prog.execute(
+            &mut dst,
+            &[&src],
+            |args: &[f64]| {
+                if args[0] == last {
+                    panic!("injected late-round failure");
+                }
+                args[0]
+            },
+            LaunchMode::Pooled,
+            kind,
+        )
+    }));
+    let payload = boom.expect_err("the node panic must propagate");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"injected late-round failure"),
+        "{}: the first payload is re-raised",
+        kind.name()
+    );
+    let mut again = DistArray::new(p, 8, n, 0.0f64).unwrap();
+    prog.execute(
+        &mut again,
+        &[&src],
+        |args: &[f64]| args[0] * 2.0 + 1.0,
+        LaunchMode::Pooled,
+        kind,
+    );
+    let got = again.to_global();
+    for i in 0..n {
+        assert_eq!(
+            got[i as usize],
+            i as f64 * 2.0 + 1.0,
+            "{} i={i}",
+            kind.name()
+        );
+    }
+}
+
+/// Two driver threads execute one cached program at once on the same
+/// pool: every epoch's outboxes and staging belong to its own call, so
+/// neither driver sees the other's values.
+#[test]
+fn concurrent_drivers_share_one_cached_program() {
+    let (p, n) = (4i64, 900i64);
+    let sec_a = RegularSection::new(1, 1 + 299 * 3, 3).unwrap();
+    let sec_b = RegularSection::new(0, 299, 1).unwrap();
+    let sec_c = RegularSection::new(7, 7 + 299 * 2, 2).unwrap();
+    let ops = vec![(5i64, sec_b), (3i64, sec_c)];
+    for block in [0usize, 7] {
+        let program = || {
+            fuse::cached_program::<i64>(
+                p,
+                8,
+                &sec_a,
+                &ops,
+                ExecMode::Batched,
+                TransportKind::Mpsc,
+                block,
+            )
+            .unwrap()
+        };
+        std::thread::scope(|scope| {
+            for driver in 0..2i64 {
+                let (prog, ops) = (program(), &ops);
+                assert!(std::sync::Arc::ptr_eq(&prog, &program()));
+                scope.spawn(move || {
+                    let bg: Vec<i64> = (0..n).map(|i| i * 3 + driver).collect();
+                    let cg: Vec<i64> = (0..n).map(|i| 1000 * driver - i).collect();
+                    let b = DistArray::from_global(p, ops[0].0, &bg).unwrap();
+                    let c = DistArray::from_global(p, ops[1].0, &cg).unwrap();
+                    for round in 0..40i64 {
+                        let mut a = DistArray::new(p, 8, n, -1i64).unwrap();
+                        prog.execute(
+                            &mut a,
+                            &[&b, &c],
+                            |v: &[i64]| v[0] * 2 + v[1] + round,
+                            LaunchMode::Pooled,
+                            TransportKind::Mpsc,
+                        );
+                        let got = a.to_global();
+                        for t in 0..300i64 {
+                            let (ia, ib, ic) = (1 + 3 * t, t, 7 + 2 * t);
+                            let want = bg[ib as usize] * 2 + cg[ic as usize] + round;
+                            assert_eq!(got[ia as usize], want, "driver {driver} t={t}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// A fused statement issued from inside a pool worker runs its rounds
+/// inline on that worker, without dispatching to the busy pool.
+#[test]
+fn fused_statement_runs_inside_a_pool_worker() {
+    let n = 400i64;
+    let bg: Vec<i64> = (0..n).map(|i| i * i % 101).collect();
+    let sec_a = RegularSection::new(0, 357, 3).unwrap();
+    let sec_b = RegularSection::new(2, 240, 2).unwrap();
+    let got: Vec<Mutex<Vec<i64>>> = (0..3).map(|_| Mutex::new(Vec::new())).collect();
+    bcag_spmd::pool::launch(3, LaunchMode::Pooled, |m, _ctx| {
+        let b = DistArray::from_global(4, 5, &bg).unwrap();
+        let mut a = DistArray::new(4, 8, n, 0i64).unwrap();
+        assign_fused_on(
+            &mut a,
+            &sec_a,
+            &[(&b, sec_b)],
+            |v: &[i64]| v[0] + m as i64,
+            LaunchMode::Pooled,
+            TransportKind::Mpsc,
+        )
+        .unwrap();
+        *got[m].lock().unwrap() = a.to_global();
+    });
+    for (m, slot) in got.iter().enumerate() {
+        let g = slot.lock().unwrap();
+        for t in 0..120usize {
+            assert_eq!(g[3 * t], bg[2 + 2 * t] + m as i64, "worker {m} t={t}");
+        }
+        assert_eq!(g[1], 0);
     }
 }
 
@@ -577,8 +719,10 @@ fn period_tables_keep_counter_parity_with_interpreted() {
         cases: 24,
         ..Config::default()
     };
-    const COUNTERS: [&str; 6] = [
+    const COUNTERS: [&str; 8] = [
         "elements_moved",
+        "bytes_packed",
+        "elements_nonlocal",
         "messages_sent",
         "transport_bytes_tx",
         "transport_bytes_rx",

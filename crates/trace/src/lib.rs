@@ -111,10 +111,30 @@ struct LaneData {
     samples: Vec<Sample>,
 }
 
+impl LaneData {
+    /// A fresh, empty lane, shared with the registry.
+    fn new(label: String) -> Arc<Mutex<LaneData>> {
+        Arc::new(Mutex::new(LaneData {
+            label,
+            depth: 0,
+            events: Vec::new(),
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            samples: Vec::new(),
+        }))
+    }
+}
+
 thread_local! {
     /// This thread's lane for the current generation, if registered.
     static LANE: RefCell<Option<(u64, Arc<Mutex<LaneData>>)>> = const { RefCell::new(None) };
+    /// The lanes this thread has entered by label ([`enter_lane`]), and
+    /// the generation they belong to: repeat entries skip the registry.
+    static ENTERED: RefCell<EnteredLanes> = const { RefCell::new((0, Vec::new())) };
 }
+
+/// A generation and the lanes entered in it, by label.
+type EnteredLanes = (u64, Vec<(String, Arc<Mutex<LaneData>>)>);
 
 /// Runs `f` on this thread's lane for the current generation, registering
 /// a fresh lane with the global sink on first use. Only called from paths
@@ -131,14 +151,7 @@ fn with_lane<R>(f: impl FnOnce(&mut LaneData) -> R) -> R {
                 .unwrap_or_else(|| {
                     format!("thread-{}", ANON_LANES.fetch_add(1, Ordering::Relaxed))
                 });
-            let lane = Arc::new(Mutex::new(LaneData {
-                label,
-                depth: 0,
-                events: Vec::new(),
-                counters: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-                samples: Vec::new(),
-            }));
+            let lane = LaneData::new(label);
             lock_clean(&REGISTRY).push(lane.clone());
             *slot = Some((gen, lane));
         }
@@ -269,6 +282,56 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Trace) {
     start();
     let result = f();
     (result, stop())
+}
+
+/// RAII guard returned by [`enter_lane`]; puts the thread back on its
+/// previous lane on drop.
+#[must_use = "the thread records on the entered lane while the guard lives"]
+pub struct EnterLane {
+    prev: Option<Option<(u64, Arc<Mutex<LaneData>>)>>,
+}
+
+/// Records everything this thread does until the guard drops on the lane
+/// labeled `label` — the first one registered in this session, or a new
+/// one. Executors that run several simulated nodes on one thread enter
+/// each node's `node-<m>` lane around its work, so per-node timelines
+/// and counters stay per node. Spans must open and close inside the
+/// guard. No-op while tracing is disabled.
+pub fn enter_lane(label: &str) -> EnterLane {
+    if !enabled() {
+        return EnterLane { prev: None };
+    }
+    let gen = GENERATION.load(Ordering::Acquire);
+    let lane = ENTERED.with(|entered| {
+        let mut entered = entered.borrow_mut();
+        if entered.0 != gen {
+            *entered = (gen, Vec::new());
+        }
+        if let Some((_, lane)) = entered.1.iter().find(|(l, _)| l == label) {
+            return lane.clone();
+        }
+        let mut reg = lock_clean(&REGISTRY);
+        let lane = match reg.iter().find(|l| lock_clean(l).label == label) {
+            Some(lane) => lane.clone(),
+            None => {
+                let lane = LaneData::new(label.to_string());
+                reg.push(lane.clone());
+                lane
+            }
+        };
+        entered.1.push((label.to_string(), lane.clone()));
+        lane
+    });
+    let prev = LANE.with(|slot| slot.replace(Some((gen, lane))));
+    EnterLane { prev: Some(prev) }
+}
+
+impl Drop for EnterLane {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            LANE.with(|slot| *slot.borrow_mut() = prev);
+        }
+    }
 }
 
 /// Relabels the current thread's lane (the SPMD machine labels node
@@ -736,6 +799,37 @@ mod tests {
         assert_eq!(trace.per_node_counter("items"), vec![1, 2, 3]);
         assert_eq!(trace.span_count("work"), 3);
         assert!(trace.critical_path_ns() > 0);
+    }
+
+    #[test]
+    fn entered_lanes_collect_several_threads_work() {
+        let ((), trace) = capture(|| {
+            set_lane_label("driver");
+            count("driver_work", 1);
+            // Two threads take turns running nodes 0 and 1, as an
+            // executor running more nodes than it has threads does.
+            std::thread::scope(|scope| {
+                for t in 0..2u64 {
+                    scope.spawn(move || {
+                        set_lane_label(&format!("lane-{t}"));
+                        for m in 0..2 {
+                            let _node = enter_lane(&format!("node-{m}"));
+                            let _sp = span("work");
+                            count("items", 10 * m + t + 1);
+                        }
+                        count("lane_work", 1);
+                    });
+                }
+            });
+            count("driver_work", 1);
+        });
+        assert_eq!(trace.per_node_counter("items"), vec![1 + 2, 11 + 12]);
+        assert_eq!(trace.lane("node-1").unwrap().events.len(), 2);
+        assert_eq!(trace.lane("driver").unwrap().counter("driver_work"), 2);
+        assert_eq!(trace.lane("lane-0").unwrap().counter("lane_work"), 1);
+        assert_eq!(trace.lane("lane-1").unwrap().counter("items"), 0);
+        // Disabled: an inert guard.
+        drop(enter_lane("node-0"));
     }
 
     #[test]

@@ -104,10 +104,11 @@ else
     echo "--> single hardware thread: skipping multi-core cache contention floor"
 fi
 
-# Fused-epoch SLO gates, also on the committed full-profile snapshot:
-# the fused statement compiler must beat the interpreted path by its
-# committed factor and stay within its committed ceiling of hand-coded
-# BLAS-1.
+# Fused-epoch SLO gates, on the fresh report the --quick smoke above
+# just wrote (both are A/B ratios taken within that one run): the fused
+# statement compiler must beat the interpreted path by its floor and stay
+# within its ceiling of hand-coded BLAS-1. The committed full-profile
+# snapshot records the trajectory only.
 [ -s BENCH_fuse.json ] \
     || { echo "missing committed BENCH_fuse.json snapshot" >&2; exit 1; }
 awk '
@@ -117,12 +118,12 @@ awk '
     $1 == "\"max_fused_vs_blas1\":"         { gsub(/[^0-9.]/, "", $2); ceil = $2 }
     END {
         if (speedup == "" || floor == "" || vsblas == "" || ceil == "")
-            { print "BENCH_fuse.json missing SLO fields" > "/dev/stderr"; exit 1 }
+            { print "fuse report missing SLO fields" > "/dev/stderr"; exit 1 }
         if (speedup + 0 < floor + 0)
             { printf "fused speedup %sx below SLO floor %sx\n", speedup, floor > "/dev/stderr"; exit 1 }
         if (vsblas + 0 > ceil + 0)
             { printf "fused statement %sx of blas1 exceeds SLO ceiling %sx\n", vsblas, ceil > "/dev/stderr"; exit 1 }
-    }' BENCH_fuse.json
+    }' target/bcag-bench/fuse.json
 
 # Self-tuning dispatch SLO gates on the committed full-profile snapshot:
 # tuned dispatch must beat forced-Runs on the sparse low-utilization
